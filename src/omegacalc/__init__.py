@@ -24,7 +24,6 @@ from .aleph import (
     successor,
 )
 from .calculus import (
-    CoeffTables,
     D_op,
     D_to_d,
     S_op,
@@ -50,7 +49,6 @@ from .functions import (
     RegularFunction,
     builtin,
     derivative,
-    eval_infinitesimal,
     lift_poly_root,
     ns_star_check,
     solve_lift,

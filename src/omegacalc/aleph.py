@@ -24,7 +24,9 @@ from .errors import (
     OutOfDomain,
     PredecessorOfZero,
 )
-from .omega import DEFAULT_ORDER, OmegaNumber, Rational, _frac, compare, render_plain
+from .omega import (
+    DEFAULT_ORDER, OmegaNumber, Rational, _frac, _mul_trunc, compare, render_plain,
+)
 
 
 @dataclass(frozen=True)
@@ -95,12 +97,7 @@ class AlephInt:
         return self + (-_as_aleph(other))
 
     def __mul__(self, other) -> "AlephInt":
-        other = _as_aleph(other)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return AlephInt.from_coeffs(out)
+        return AlephInt.from_coeffs(_mul_trunc(self.coeffs, _as_aleph(other).coeffs))
 
     def __str__(self) -> str:
         return render_plain(self.to_omega())

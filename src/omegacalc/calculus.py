@@ -152,17 +152,6 @@ def a_coeff_p(p: int, m: int, l: int) -> Fraction:
     return _iterated_antidifference(p, m)[l]
 
 
-class CoeffTables:
-    """Namespace view over the memoized exact tables."""
-
-    binomial = staticmethod(math.comb)
-    bernoulli = staticmethod(bernoulli)
-    X = staticmethod(x_coeff)
-    K = staticmethod(k_coeff)
-    A = staticmethod(a_coeff)
-    Ap = staticmethod(a_coeff_p)
-
-
 # ---------------------------------------------------------------------------
 # Differentials
 # ---------------------------------------------------------------------------
@@ -384,9 +373,5 @@ def solve_ode(
     combo = RegularFunction.constant(_as_omega(C[0]))
     for k in range(1, p):
         combo = combo + grid_binomial(k).scale(_as_omega(C[k]))
-    return _rename(sp_part + combo, f"ode{p}[{F.name}]")
-
-
-def _rename(F: RegularFunction, name: str) -> RegularFunction:
-    F.name = name
-    return F
+    G = sp_part + combo
+    return RegularFunction(G.coeff, name=f"ode{p}[{F.name}]", degree=G.degree)

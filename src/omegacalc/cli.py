@@ -19,6 +19,7 @@ from . import aleph as aleph_mod
 from . import calculus, functions, parser, rational
 from .errors import IndistinguishableAtTruncation, OmegaError, UnknownName
 from .omega import (
+    DEFAULT_ORDER,
     ExtendedOmega,
     OmegaNumber,
     compare_extended,
@@ -40,7 +41,6 @@ from .parser import (
     Sym,
 )
 
-DEFAULT_CLI_ORDER = 8
 _BUILTIN_NAMES = ("exp", "sin", "cos", "log", "geometric")
 
 _ORDERING_WORDS = {-1: "Less", 0: "Equal", 1: "Greater"}
@@ -509,14 +509,15 @@ def _build_argparser() -> argparse.ArgumentParser:
     top.add_argument("-i", "--interactive", action="store_true",
                      help="read expressions from stdin, one per line")
     top.add_argument("--order", type=int, default=None,
-                     help=f"working truncation order (default {DEFAULT_CLI_ORDER})")
+                     help=f"working truncation order (default {DEFAULT_ORDER})")
     top.add_argument("--format", choices=("plain", "json"), default=None)
 
     sub = top.add_subparsers(dest="command")
 
     def common(p):
-        p.add_argument("--order", type=int, default=None)
-        p.add_argument("--format", choices=("plain", "json"), default=None)
+        # SUPPRESS: an absent subcommand flag must not overwrite the top-level one.
+        p.add_argument("--order", type=int, default=argparse.SUPPRESS)
+        p.add_argument("--format", choices=("plain", "json"), default=argparse.SUPPRESS)
 
     p = sub.add_parser("eval", help="evaluate an expression ('-' reads stdin)")
     p.add_argument("expr")
@@ -610,7 +611,7 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     top = _build_argparser()
     args = top.parse_args(argv)
-    order = args.order if args.order is not None else DEFAULT_CLI_ORDER
+    order = args.order if args.order is not None else DEFAULT_ORDER
     mode = args.format if args.format is not None else "plain"
 
     if order < 0 or order > _max_order():

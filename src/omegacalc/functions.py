@@ -182,12 +182,6 @@ class RegularFunction:
         return f"RegularFunction({self.name!r} at {self.base_point})"
 
 
-def eval_infinitesimal(
-    F: RegularFunction, u: OmegaNumber | Rational, order: int | None = None
-) -> OmegaNumber:
-    return F.eval(u, order)
-
-
 def derivative(F: RegularFunction, q: int = 1) -> RegularFunction:
     """q-th derivative with respect to the standard part of the argument."""
     if q < 0:
@@ -400,33 +394,6 @@ def lift_poly_root(
     order: int | None = None,
 ) -> OmegaNumber:
     """Root of sum(poly[i] * z^i) = 0 lifted moment by moment from a
-    standard simple root of the standard-part polynomial."""
-    coeffs = [_as_omega(c) for c in poly]
-    seed = _frac(x_seed)
-    target = order if order is not None else DEFAULT_ORDER
-
-    def value_at(z: OmegaNumber) -> OmegaNumber:
-        total = OmegaNumber.zero()
-        for c in reversed(coeffs):
-            total = total * z + c
-        return total
-
-    def slope_at(z: OmegaNumber) -> OmegaNumber:
-        total = OmegaNumber.zero()
-        for i in range(len(coeffs) - 1, 0, -1):
-            total = total * z + coeffs[i] * i
-        return total
-
-    z = OmegaNumber.from_rational(seed)
-    if value_at(z).standard_part() != 0:
-        raise SeedMismatch("seed is not a root of the standard-part equation")
-    if slope_at(z).standard_part() == 0:
-        raise SingularDerivative("standard derivative vanishes at the seed")
-    for _ in range(target + 2):
-        residual = value_at(z)
-        if not (residual.is_zero() and residual.is_exact()):
-            residual = residual.truncate(_min_order(target, residual.known_order))
-        if residual.is_zero():
-            return z
-        z = (z - residual * slope_at(z).invert(order=target)).truncate(target)
-    raise OmegaError("moment iteration failed to close")  # pragma: no cover
+    standard simple root of the standard-part polynomial (solve_lift on
+    the polynomial with target 0)."""
+    return solve_lift(RegularFunction.polynomial(poly), 0, x_seed, order=order)

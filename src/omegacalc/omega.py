@@ -127,20 +127,18 @@ class OmegaNumber:
         tail).
         """
         items = terms.items() if isinstance(terms, Mapping) else terms
-        dense: dict[int, Fraction] = {}
+        sparse: dict[int, Fraction] = {}
         for exponent, coefficient in items:
             c = _frac(coefficient)
-            if c == 0:
-                continue
-            if known_order is not None and exponent > known_order:
-                continue
-            dense[exponent] = dense.get(exponent, Fraction(0)) + c
-        dense = {e: c for e, c in dense.items() if c != 0}
-        if not dense:
+            if c and (known_order is None or exponent <= known_order):
+                sparse[exponent] = sparse.get(exponent, 0) + c
+        if not sparse:
             return OmegaNumber(None, (), known_order)
-        lo, hi = min(dense), max(dense)
-        coeffs = tuple(dense.get(e, Fraction(0)) for e in range(lo, hi + 1))
-        return OmegaNumber(lo, coeffs, known_order)
+        lo = min(sparse)
+        dense = [0] * (max(sparse) - lo + 1)
+        for exponent, c in sparse.items():
+            dense[exponent - lo] = c
+        return _canonical(lo, dense, known_order)
 
     @staticmethod
     def from_rational(value: Rational) -> "OmegaNumber":
@@ -232,7 +230,7 @@ class OmegaNumber:
             raise OrderExceedsKnown(
                 f"cannot truncate at {order}: known only to {self.known_order}"
             )
-        return OmegaNumber.from_terms(dict(self.terms()), known_order=order)
+        return _canonical(self.valuation, self.coeffs, order)
 
     # -- ring operations ---------------------------------------------
 
@@ -248,15 +246,23 @@ class OmegaNumber:
         if rhs is None:
             return NotImplemented
         ko = _min_order(self.known_order, rhs.known_order)
-        merged = dict(self.terms())
-        for e, c in rhs.terms():
-            merged[e] = merged.get(e, Fraction(0)) + c
-        return OmegaNumber.from_terms(merged, known_order=ko)
+        if not (self.coeffs and rhs.coeffs):
+            x = self if self.coeffs else rhs
+            return _canonical(x.valuation, x.coeffs, ko)
+        lo = min(self.valuation, rhs.valuation)
+        dense = [0] * (max(self.valuation + len(self.coeffs),
+                           rhs.valuation + len(rhs.coeffs)) - lo)
+        start = self.valuation - lo
+        dense[start:start + len(self.coeffs)] = self.coeffs
+        for i, c in enumerate(rhs.coeffs, rhs.valuation - lo):
+            dense[i] += c
+        return _canonical(lo, dense, ko)
 
     __radd__ = __add__
 
     def __neg__(self) -> "OmegaNumber":
-        return OmegaNumber(self.valuation, tuple(-c for c in self.coeffs), self.known_order)
+        # a list, not a generator (see _canonical)
+        return OmegaNumber(self.valuation, tuple([-c for c in self.coeffs]), self.known_order)
 
     def __sub__(self, other) -> "OmegaNumber":
         rhs = self._coerced(other)
@@ -287,16 +293,9 @@ class OmegaNumber:
             None if self.known_order is None else self.known_order + rhs.valuation,
             None if rhs.known_order is None else rhs.known_order + self.valuation,
         )
-        out: dict[int, Fraction] = {}
-        for (e1, c1), (e2, c2) in itertools.product(self.terms(), rhs.terms()):
-            e = e1 + e2
-            if ko is not None and e > ko:
-                continue
-            out[e] = out.get(e, Fraction(0)) + c1 * c2
-        result = OmegaNumber.from_terms(out, known_order=ko)
-        if ko is not None and result.valuation is not None and ko < result.valuation:
-            raise TruncationUnderflow("no exactly-known coefficient remains")
-        return result
+        v = self.valuation + rhs.valuation
+        limit = None if ko is None else ko - v
+        return _canonical(v, _mul_trunc(self.coeffs, rhs.coeffs, limit), ko)
 
     __rmul__ = __mul__
 
@@ -321,10 +320,7 @@ class OmegaNumber:
         """Factor a nonzero value as a*o^v*(1+u) with u infinitesimal."""
         a, v = self.coeffs[0], self.valuation
         rel_ko = None if self.known_order is None else self.known_order - v
-        u = OmegaNumber.from_terms(
-            {i: c / a for i, c in enumerate(self.coeffs) if i > 0},
-            known_order=rel_ko,
-        )
+        u = _canonical(1, [c / a for c in self.coeffs[1:]], rel_ko)
         return a, v, u
 
     def invert(self, order: int | None = None) -> "OmegaNumber":
@@ -408,6 +404,49 @@ class OmegaNumber:
 
     def __repr__(self) -> str:
         return f"OmegaNumber({render_plain(self)!r})"
+
+
+def _mul_trunc(a: Sequence, b: Sequence, limit: int | None = None) -> list:
+    """Dense product of two coefficient sequences: ``out[k] = sum a[i]*b[k-i]``.
+
+    No index past ``limit`` is formed, so a negative limit gives the empty
+    product.  Zero coefficients are skipped; a slot no product reaches
+    holds the int 0.
+    """
+    n = len(a) + len(b) - 1 if a and b else 0
+    if limit is not None:
+        n = max(min(n, limit + 1), 0)
+    out = [0] * n
+    nonzero_b = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a[:n]):
+        if not x:
+            continue
+        for j, y in nonzero_b:
+            if i + j >= n:
+                break
+            out[i + j] += x * y
+    return out
+
+
+def _canonical(valuation: int | None, dense: Sequence, known_order: int | None) -> OmegaNumber:
+    """The value sum ``dense[i] * o**(valuation + i)`` with tail ``known_order``.
+
+    Drops the coefficients past ``known_order``, strips zeros from both
+    ends and stores ``Fraction`` coefficients.  ``valuation`` may be None
+    when ``dense`` is empty.
+    """
+    lo, hi = 0, len(dense)
+    if known_order is not None and dense:
+        hi = min(hi, known_order - valuation + 1)
+    while lo < hi and not dense[lo]:
+        lo += 1
+    while hi > lo and not dense[hi - 1]:
+        hi -= 1
+    if lo >= hi:
+        return OmegaNumber(None, (), known_order)
+    # From a list, not a generator: tuple(generator) guesses a size and then
+    # resizes, so the freed tuples pile up in CPython's per-size free lists.
+    return OmegaNumber(valuation + lo, tuple([_frac(c) for c in dense[lo:hi]]), known_order)
 
 
 def _geometric_sum(r: OmegaNumber, relative_order: int) -> OmegaNumber:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from .errors import DivisionByZero, NotInRo
-from .omega import DEFAULT_ORDER, OmegaNumber, Rational, _frac, compare
+from .omega import DEFAULT_ORDER, OmegaNumber, Rational, _frac, _mul_trunc, compare
 
 Poly = tuple[Fraction, ...]
 
@@ -43,13 +43,7 @@ def _poly_neg(a: Poly) -> Poly:
 
 
 def _poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly(out)
+    return _poly(_mul_trunc(a, b))
 
 
 def _poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:

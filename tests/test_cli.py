@@ -301,3 +301,12 @@ class TestOrderCap:
     def test_default_cap_allows_32(self):
         code, _ = run_cli(["eval", "o", "--order", "32"])
         assert code == 0
+
+
+class TestFlagPlacement:
+    @pytest.mark.parametrize("flags", [["--order", "4"], ["--format", "json"],
+                                       ["--order", "3", "--format", "json"]])
+    def test_flags_before_and_after_command_agree(self, flags):
+        before = run_cli(flags + ["eval", "sqrt(1+o)"])
+        after = run_cli(["eval", "sqrt(1+o)"] + flags)
+        assert before == after

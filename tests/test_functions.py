@@ -268,6 +268,10 @@ class TestLiftPolyRoot:
         with pytest.raises(SingularDerivative):
             lift_poly_root([OmegaNumber.zero(), OmegaNumber.zero(), ONE], 0)
 
+    def test_seed_off_the_root_rejected(self):
+        with pytest.raises(SeedMismatch):
+            lift_poly_root([-2, 0, 1], 1)
+
 
 class TestConcurrentReads:
     def test_memoized_stream_is_consistent_across_threads(self):

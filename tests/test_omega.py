@@ -1,5 +1,6 @@
 """Core number type: canonical form, ring laws, order, inversion, powers."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from omegacalc.errors import (
     OrderExceedsKnown,
     TruncationUnderflow,
 )
+from omegacalc.aleph import AlephInt
 from omegacalc.omega import (
     EQUAL,
     GREATER,
@@ -32,7 +34,9 @@ from omegacalc.omega import (
     render_plain,
     sup_finite,
     to_json_dict,
+    _mul_trunc,
 )
+from omegacalc.rational import RationalFunction
 
 from conftest import random_omega
 
@@ -149,6 +153,141 @@ def test_much_less_iff_order_gap(x, y):
             ax = x if compare(x, ZERO) >= 0 else -x
             ay = y if compare(y, ZERO) >= 0 else -y
             assert compare(ax * k, ay) == LESS
+
+
+# ---------------------------------------------------------------------------
+# The sparse dict multiply that the dense kernel replaced, kept as an oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_from_terms(terms, known_order):
+    """Canonical (valuation, coeffs, known_order) of sparse exponent data."""
+    dense = {}
+    for e, c in terms:
+        if c != 0 and (known_order is None or e <= known_order):
+            dense[e] = dense.get(e, F(0)) + c
+    dense = {e: c for e, c in dense.items() if c != 0}
+    if not dense:
+        return (None, (), known_order)
+    lo, hi = min(dense), max(dense)
+    return (lo, tuple(dense.get(e, F(0)) for e in range(lo, hi + 1)), known_order)
+
+
+def oracle_min(*orders):
+    finite = [k for k in orders if k is not None]
+    return min(finite) if finite else None
+
+
+def oracle_add(x, y):
+    merged = dict(x.terms())
+    for e, c in y.terms():
+        merged[e] = merged.get(e, F(0)) + c
+    return oracle_from_terms(merged.items(), oracle_min(x.known_order, y.known_order))
+
+
+def oracle_mul(x, y):
+    if (x.is_zero() and x.is_exact()) or (y.is_zero() and y.is_exact()):
+        return (None, (), None)
+    if x.is_zero() or y.is_zero():
+        def effective_valuation(v):
+            return v.valuation if v.coeffs else v.known_order + 1
+
+        return (None, (), effective_valuation(x) + effective_valuation(y) - 1)
+    ko = oracle_min(
+        None if x.known_order is None else x.known_order + y.valuation,
+        None if y.known_order is None else y.known_order + x.valuation,
+    )
+    out = {}
+    for (e1, c1), (e2, c2) in itertools.product(x.terms(), y.terms()):
+        if ko is None or e1 + e2 <= ko:
+            out[e1 + e2] = out.get(e1 + e2, F(0)) + c1 * c2
+    return oracle_from_terms(out.items(), ko)
+
+
+def naive_convolution(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def key(x):
+    return (x.valuation, x.coeffs, x.known_order)
+
+
+def small_fractions():
+    return st.fractions(min_value=-10, max_value=10, max_denominator=6)
+
+
+def known_orders():
+    # down to -4: below every valuation omega_terms() draws
+    return st.none() | st.integers(-4, 6)
+
+
+def inexact_omegas():
+    """Exact or truncated values with S-powers; includes inexact zeros."""
+    return st.builds(OmegaNumber.from_terms, omega_terms(), known_orders())
+
+
+@settings(max_examples=100)
+@given(omega_terms(), known_orders())
+def test_from_terms_matches_oracle(terms, ko):
+    assert key(OmegaNumber.from_terms(terms, ko)) == oracle_from_terms(terms.items(), ko)
+
+
+@settings(max_examples=200)
+@given(inexact_omegas(), inexact_omegas())
+def test_mul_add_sub_match_oracle(x, y):
+    assert key(x * y) == oracle_mul(x, y)
+    assert key(x + y) == oracle_add(x, y)
+    assert key(x - y) == oracle_add(x, -y)
+
+
+@settings(max_examples=100)
+@given(inexact_omegas(), st.integers(-5, 7))
+def test_truncate_matches_oracle(x, order):
+    if x.known_order is not None and order > x.known_order:
+        return
+    assert key(x.truncate(order)) == oracle_from_terms(x.terms(), order)
+
+
+def test_known_order_below_product_valuation_is_inexact_zero():
+    tail = OmegaNumber.from_terms({}, known_order=-3)
+    assert key(tail * SIGMA**2) == oracle_mul(tail, SIGMA**2) == (None, (), -5)
+
+
+@settings(max_examples=100)
+@given(st.lists(small_fractions(), max_size=6), st.lists(small_fractions(), max_size=6),
+       st.none() | st.integers(-3, 12))
+def test_mul_trunc_matches_naive_convolution(a, b, limit):
+    full = naive_convolution(a, b) if a and b else []
+    expected = full if limit is None else full[:max(limit + 1, 0)]
+    assert _mul_trunc(a, b, limit) == expected
+
+
+def alephs():
+    return st.builds(lambda c0, rest: AlephInt.from_coeffs([c0, *rest]),
+                     st.integers(-20, 20), st.lists(small_fractions(), max_size=4))
+
+
+@settings(max_examples=60)
+@given(alephs(), alephs())
+def test_aleph_product_is_naive_convolution(L, M):
+    assert L * M == AlephInt.from_coeffs(naive_convolution(L.coeffs, M.coeffs))
+
+
+def rational_functions():
+    polys = st.lists(st.integers(-6, 6), min_size=1, max_size=4)
+    return st.builds(RationalFunction.from_polys, polys,
+                     polys.filter(lambda c: any(c)))
+
+
+@settings(max_examples=60)
+@given(rational_functions(), rational_functions())
+def test_rational_product_is_naive_convolution(a, b):
+    num = naive_convolution(a.num, b.num) if a.num else []
+    assert a * b == RationalFunction.from_polys(num, naive_convolution(a.den, b.den))
 
 
 class TestInvert:
