@@ -6,9 +6,9 @@ The lower-triangular tables X and K convert one family into the other.
 
 ``integrate``/``S_op`` build the unique regular antidifference through
 exact coefficient tables: ``a(m, l)`` are the coefficients of the
-discrete antiderivative of x^m (the inverse of the binomial matrix, or
-equivalently a Bernoulli-number closed form), and ``a_p(p, m, l)``
-their order-p analogue.  ``brute_sum`` is the literal grid sum kept as
+discrete antiderivative of x^m (Faulhaber's Bernoulli-number closed
+form, computed entry by entry on demand), and ``a_p(p, m, l)`` their
+order-p analogue.  ``brute_sum`` is the literal grid sum kept as
 a finite-step oracle for all of the above.
 """
 
@@ -22,9 +22,6 @@ from typing import Sequence
 from .errors import IndexOutOfRange, NotInfinitesimal
 from .functions import RegularFunction, _as_omega, derivative
 from .omega import DEFAULT_ORDER, OmegaNumber, Rational, _frac, _min_order
-
-#: Largest index served by the memoized coefficient tables.
-MAX_TABLE_ORDER = 32
 
 
 def _check_range(condition: bool, message: str):
@@ -41,9 +38,8 @@ def _check_range(condition: bool, message: str):
 def bernoulli(p: int) -> Fraction:
     """Bernoulli number B_p in the convention with B_1 = -1/2.
 
-    The convention is not an axiom here: it is the one that makes the
-    closed form for a(m, l) reproduce the matrix inverse, which the test
-    suite verifies for every m up to the table bound.
+    The convention is not an axiom here: it is the one that makes
+    Faulhaber's formula in ``a_coeff_bernoulli`` sum k^m over k < n.
     """
     _check_range(p >= 0, "Bernoulli index must be nonnegative")
     if p == 0:
@@ -74,13 +70,13 @@ def k_coeff(top: int, size: int) -> int:
 
 def d_to_D(p: int, n_max: int) -> list[Fraction]:
     """Weights of d^p..d^n_max in the expansion of D^p."""
-    _check_range(1 <= p <= n_max <= MAX_TABLE_ORDER, "d_to_D order out of range")
+    _check_range(1 <= p <= n_max, "d_to_D order out of range")
     return [Fraction(x_coeff(p, n), math.factorial(n)) for n in range(p, n_max + 1)]
 
 
 def D_to_d(n: int, p_max: int) -> list[Fraction]:
     """Weights of D^n..D^p_max in the expansion of d^n."""
-    _check_range(1 <= n <= p_max <= MAX_TABLE_ORDER, "D_to_d order out of range")
+    _check_range(1 <= n <= p_max, "D_to_d order out of range")
     n_fact = math.factorial(n)
     return [
         Fraction((-1) ** (p - n) * k_coeff(p - 1, p - n) * n_fact, math.factorial(p))
@@ -88,44 +84,17 @@ def D_to_d(n: int, p_max: int) -> list[Fraction]:
     ]
 
 
+def a_coeff_bernoulli(m: int, l: int) -> Fraction:
+    """Closed form of a(m, l): Faulhaber's C(m+1, l) * B_(m+1-l) / (m+1)."""
+    _check_range(m >= 0, "m must be nonnegative")
+    _check_range(1 <= l <= m + 1, "l must be in 1..m+1")
+    return math.comb(m + 1, l) * bernoulli(m + 1 - l) / (m + 1)
+
+
 @functools.cache
-def _antidifference_matrix() -> tuple[tuple[Fraction, ...], ...]:
-    """Rows m = 0..MAX of a(m, l), l = 1..MAX+1.
-
-    Row m solves sum_{l>s} a(m,l)*C(l,s) = delta(m,s): the inverse of
-    the (strictly lower, shifted) binomial matrix, filled by
-    back-substitution from s = MAX downward.
-    """
-    size = MAX_TABLE_ORDER + 1
-    rows = []
-    for m in range(size):
-        row = [Fraction(0)] * (size + 1)  # index l, 1-based
-        for s in range(size - 1, -1, -1):
-            acc = Fraction(1 if s == m else 0)
-            for l in range(s + 2, size + 1):
-                acc -= row[l] * math.comb(l, s)
-            row[s + 1] = acc / math.comb(s + 1, s)
-        rows.append(tuple(row[1:]))
-    return tuple(rows)
-
-
 def a_coeff(m: int, l: int) -> Fraction:
     """Coefficient of x^l * o^(m+1-l) in the step-o antiderivative of x^m."""
-    _check_range(0 <= m <= MAX_TABLE_ORDER, f"m must be in 0..{MAX_TABLE_ORDER}")
-    _check_range(1 <= l <= m + 1, "l must be in 1..m+1")
-    return _antidifference_matrix()[m][l - 1]
-
-
-def a_coeff_bernoulli(m: int, l: int) -> Fraction:
-    """Closed form of a(m, l) through Bernoulli numbers (cross-check route)."""
-    _check_range(0 <= m and 1 <= l <= m + 1, "index out of range")
-    total = Fraction(0)
-    for p in range(m + 2 - l):
-        total += Fraction(
-            math.factorial(m),
-            math.factorial(l) * math.factorial(p) * math.factorial(m + 1 - l - p),
-        ) * bernoulli(p)
-    return (-1) ** (m + 1 - l) * total
+    return a_coeff_bernoulli(m, l)
 
 
 @functools.cache
@@ -147,7 +116,7 @@ def _iterated_antidifference(p: int, m: int) -> tuple[Fraction, ...]:
 def a_coeff_p(p: int, m: int, l: int) -> Fraction:
     """Coefficient of x^l * o^(m+p-l) in the order-p antiderivative of x^m."""
     _check_range(p >= 1, "p must be >= 1")
-    _check_range(0 <= m and m + p <= MAX_TABLE_ORDER + 1, "m out of table range")
+    _check_range(m >= 0, "m must be nonnegative")
     _check_range(1 <= l <= m + p, "l must be in 1..m+p")
     return _iterated_antidifference(p, m)[l]
 

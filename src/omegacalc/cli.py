@@ -433,8 +433,6 @@ def _cmd_lift(args, order, mode, out) -> int:
 
 def _cmd_expand(args, order, mode, out) -> int:
     rf = evaluate_rational(parser.parse(args.expr))
-    if getattr(args, "expand", None) is not None:
-        order = args.expand
     value = rational.expand(rf, order=order)
     print(format_value(value, mode, order), file=out)
     return 0
@@ -567,8 +565,6 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="Laurent expansion of P(o)/Q(o)")
     p.add_argument("expr")
-    p.add_argument("--expand", type=int, default=None,
-                   help="expansion order (alias for --order)")
     common(p)
 
     p = sub.add_parser("aleph", help="nonstandard integer operations")

@@ -66,7 +66,7 @@ class SeedMismatch(OmegaError):
 
 
 class IndexOutOfRange(OmegaError):
-    """Coefficient-table index outside the configured bounds."""
+    """Coefficient-table index outside the table's domain."""
 
 
 class UnknownName(OmegaError):

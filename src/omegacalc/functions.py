@@ -14,7 +14,6 @@ q-th derivative is ``(n+q)!/n! * coeff(n+q)``.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -44,7 +43,7 @@ def _as_omega(value) -> OmegaNumber:
 
 
 class RegularFunction:
-    """Coefficient stream with a memoized, lock-guarded cache.
+    """Coefficient stream with a memoized cache.
 
     ``degree`` is None for an infinite stream; a finite degree promises
     coeff(n) == 0 for n > degree and unlocks exact evaluation at
@@ -65,7 +64,6 @@ class RegularFunction:
         self.name = name
         self.degree = degree
         self._cache: dict[int, OmegaNumber] = {}
-        self._lock = threading.Lock()
 
     @staticmethod
     def polynomial(
@@ -97,10 +95,12 @@ class RegularFunction:
             raise ValueError("coefficient index must be nonnegative")
         if self.degree is not None and n > self.degree:
             return OmegaNumber.zero()
-        with self._lock:
-            if n not in self._cache:
-                self._cache[n] = _as_omega(self._coeff_fn(n))
-            return self._cache[n]
+        # No lock: a stream may read its own earlier coefficients, and
+        # threads racing on one index compute equal values.
+        value = self._cache.get(n)
+        if value is None:
+            value = self._cache.setdefault(n, _as_omega(self._coeff_fn(n)))
+        return value
 
     # -- evaluation ----------------------------------------------------
 

@@ -47,6 +47,7 @@ from omegacalc.functions import (
 )
 from omegacalc.omega import OmegaNumber, compare, much_less
 
+from test_calculus import oracle_a
 from test_cli import GOLDEN, run_cli
 
 O = OmegaNumber.o()
@@ -126,7 +127,7 @@ def test_c04_monomial_primitives_and_bernoulli_closed_form():
             assert q.coeff(l) == OmegaNumber.from_terms({m + 1 - l: weight})
     for m in range(13):
         for l in range(1, m + 2):
-            assert a_coeff(m, l) == a_coeff_bernoulli(m, l)
+            assert a_coeff(m, l) == a_coeff_bernoulli(m, l) == oracle_a(m, l)
     _passed(4, "q_0..q_4 verbatim; a(m,l) inversion == Bernoulli form, m <= 12")
 
 

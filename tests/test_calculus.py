@@ -2,10 +2,12 @@
 
 Every table is checked against an independent oracle: a recurrence for
 the alternating sums, literal subset products for the symmetric sums,
-matrix inversion against the Bernoulli closed form, and the literal grid
-sum for everything built from the antidifference tables.
+the inverse of the binomial matrix for the Bernoulli closed form of the
+antidifference tables, and the literal grid sum for everything built
+from them.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction as F
@@ -47,6 +49,44 @@ def stirling2_oracle(n: int, p: int) -> int:
     if n == 0 or p == 0:
         return 0
     return p * stirling2_oracle(n - 1, p) + stirling2_oracle(n - 1, p - 1)
+
+
+@functools.cache
+def antidifference_oracle(size: int) -> tuple[tuple[F, ...], ...]:
+    """Rows m = 0..size-1 of a(m, l), l = 1..size, by matrix inversion.
+
+    Row m solves sum_{l>s} a(m,l)*C(l,s) = delta(m,s): the inverse of
+    the (strictly lower, shifted) binomial matrix, filled by
+    back-substitution from s = size-1 downward.  It shares nothing with
+    the Bernoulli closed form in ``a_coeff``.
+    """
+    rows = []
+    for m in range(size):
+        row = [F(0)] * (size + 1)  # index l, 1-based
+        for s in range(size - 1, -1, -1):
+            acc = F(1 if s == m else 0)
+            for l in range(s + 2, size + 1):
+                acc -= row[l] * math.comb(l, s)
+            row[s + 1] = acc / math.comb(s + 1, s)
+        rows.append(tuple(row[1:]))
+    return tuple(rows)
+
+
+def oracle_a(m: int, l: int) -> F:
+    return antidifference_oracle(41)[m][l - 1]
+
+
+def oracle_a_p(p: int, m: int) -> list[F]:
+    """Power coefficients of the p-fold antidifference of x^m, built
+    from the oracle rows."""
+    poly = [F(0)] * m + [F(1)]
+    for _ in range(p):
+        out = [F(0)] * (len(poly) + 1)
+        for k, c in enumerate(poly):
+            for l in range(1, k + 2):
+                out[l] += c * oracle_a(k, l)
+        poly = out
+    return poly
 
 
 def random_polynomial(rng, degree=4) -> RegularFunction:
@@ -118,9 +158,10 @@ class TestBernoulli:
         assert all(bernoulli(p) == 0 for p in range(3, 16, 2))
 
     def test_closed_form_matches_matrix_inverse(self):
-        for m in range(13):
+        for m in range(41):
             for l in range(1, m + 2):
-                assert a_coeff(m, l) == a_coeff_bernoulli(m, l)
+                assert a_coeff_bernoulli(m, l) == oracle_a(m, l)
+                assert a_coeff(m, l) == oracle_a(m, l)
 
 
 class TestATables:
@@ -148,6 +189,13 @@ class TestATables:
                     math.factorial(m), math.factorial(m + p)
                 )
 
+    def test_order_p_table_matches_matrix_inverse(self):
+        for p in range(1, 4):
+            for m in range(42 - p):
+                expected = oracle_a_p(p, m)
+                for l in range(1, m + p + 1):
+                    assert a_coeff_p(p, m, l) == expected[l]
+
     def test_order_one_collapses(self):
         for m in range(9):
             for l in range(1, m + 2):
@@ -157,7 +205,7 @@ class TestATables:
         with pytest.raises(IndexOutOfRange):
             a_coeff(2, 4)
         with pytest.raises(IndexOutOfRange):
-            a_coeff(40, 1)
+            a_coeff(-1, 1)
         with pytest.raises(IndexOutOfRange):
             a_coeff_p(2, 3, 6)
 

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from omegacalc import cli, parser
+from omegacalc import calculus, cli, functions, parser
 from omegacalc.omega import OmegaNumber, from_json_dict
 from omegacalc.parser import (
     Apply,
@@ -25,6 +25,8 @@ from omegacalc.parser import (
     parse,
     unparse,
 )
+
+from test_calculus import oracle_a
 
 
 class TestParser:
@@ -310,3 +312,48 @@ class TestFlagPlacement:
         before = run_cli(flags + ["eval", "sqrt(1+o)"])
         after = run_cli(["eval", "sqrt(1+o)"] + flags)
         assert before == after
+
+
+class TestExpandOrder:
+    def test_order_above_cap_is_refused(self, capsys):
+        code, out = run_cli(["expand", "1/(1-o)", "--order", "33"])
+        assert code == 2
+        assert out == ""
+        assert "OMEGA_MAX_ORDER" in capsys.readouterr().err
+
+    def test_uncapped_alias_is_gone(self):
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["expand", "1/(1-o)", "--expand", "40"], out=out)
+        assert exc.value.code == 2
+        assert out.getvalue() == ""
+
+
+class TestTablesBeyondOrder32:
+    """Antidifference tables grow on demand up to the order cap and past it."""
+
+    def test_sum_at_order_17(self):
+        code, out = run_cli(["sum", "exp", "--order", "17"])
+        G = calculus.integrate(functions.builtin("exp"), 0, order=17)
+        assert code == 0
+        assert out == cli.format_value(G, "plain", 17) + "\n"
+
+    def test_ode_at_order_20(self):
+        code, out = run_cli(["ode", "exp", "--p", "3", "--order", "20"])
+        zero = OmegaNumber.zero()
+        G = calculus.solve_ode(functions.builtin("exp"), 3, [zero] * 3, order=20)
+        assert code == 0
+        assert out == cli.format_value(G, "plain", 20) + "\n"
+
+    def test_table_a_to_40_matches_matrix_inverse(self):
+        code, out = run_cli(["table", "a", "--max", "40"])
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header.split() == ["m\\l"] + [str(l) for l in range(1, 42)]
+        assert len(rows) == 41
+        for m, row in enumerate(rows):
+            label, *cells = row.split()
+            assert label == str(m)
+            assert cells[m + 1:] == ["."] * (40 - m)
+            for l, cell in enumerate(cells[:m + 1], start=1):
+                assert F(cell) == oracle_a(m, l)

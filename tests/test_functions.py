@@ -291,6 +291,24 @@ class TestConcurrentReads:
         assert all(r == results[0] for r in results)
 
 
+class TestSelfReferentialStream:
+    def test_coefficient_reading_earlier_coefficients_returns(self):
+        # A lock held while computing would deadlock here; the thread keeps
+        # a regression from hanging the suite.
+        import threading
+
+        G = RegularFunction(
+            lambda n: ONE if n == 0 else G.coeff(n - 1) * F(1, n)
+        )
+        results = []
+        worker = threading.Thread(target=lambda: results.append(G.coeff(5)),
+                                  daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert results == [OmegaNumber.from_rational(F(1, 120))]
+
+
 class TestDifferentiabilityWitnesses:
     def test_polynomial_witnesses_match_derivatives(self, rng):
         # The p+1 numbers H_i witnessing p-fold differentiability are the
