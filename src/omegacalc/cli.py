@@ -5,6 +5,10 @@ floor undecidable at the working truncation order.  Errors go to stderr
 and never print partial results.  The working order is the per-call
 ``--order`` flag (default 8), capped by the OMEGA_MAX_ORDER environment
 variable (default 32).
+
+``-i`` evaluates one stdin line at a time (blank and ``#`` lines skipped),
+reports a failed line on stderr as ``error: ...`` and goes on; it exits 0
+when stdin ends, even after failed lines.
 """
 
 from __future__ import annotations

@@ -42,6 +42,24 @@ def _as_omega(value) -> OmegaNumber:
     return OmegaNumber.from_rational(value)
 
 
+def _power_sum(c: Callable, v: OmegaNumber, top: int, target: int | None) -> OmegaNumber:
+    """``c(0) + c(1)*v + ... + c(top)*v**top``, stopping at the first power
+    of v that is exactly zero.  The powers and the sum are truncated at
+    ``target``; None keeps everything exact."""
+    total = c(0)
+    v_pow = OmegaNumber.one()
+    for k in range(1, top + 1):
+        v_pow = v_pow * v
+        if v_pow.is_zero() and v_pow.is_exact():
+            break
+        if target is not None:
+            v_pow = v_pow.truncate(_min_order(target, v_pow.known_order))
+        total = total + c(k) * v_pow
+    if target is not None:
+        total = total.truncate(_min_order(target, total.known_order))
+    return total
+
+
 class RegularFunction:
     """Coefficient stream with a memoized cache.
 
@@ -119,15 +137,7 @@ class RegularFunction:
         target = order
         if target is None:
             target = u.known_order if u.known_order is not None else DEFAULT_ORDER
-        total = self.coeff(0)
-        u_pow = OmegaNumber.one()
-        for k in range(1, target + 1):
-            u_pow = u_pow * u
-            if u_pow.is_zero() and u_pow.is_exact():
-                break
-            u_pow = u_pow.truncate(_min_order(target, u_pow.known_order))
-            total = total + self.coeff(k) * u_pow
-        return total.truncate(_min_order(target, total.known_order))
+        return _power_sum(self.coeff, u, target, target)
 
     def _eval_polynomial(self, u: OmegaNumber, order: int | None) -> OmegaNumber:
         # Exact: the working order never discards finite knowledge.
@@ -215,22 +225,11 @@ def taylor_shift(
     if v.is_zero() and v.is_exact():
         return F
     target = order if order is not None else DEFAULT_ORDER
+    cut = target if F.degree is None else None  # a polynomial's sums stay exact
 
     def coeff(n: int) -> OmegaNumber:
-        q_max = F.degree - n if F.degree is not None else target
-        total = OmegaNumber.zero()
-        v_pow = OmegaNumber.one()
-        for q in range(q_max + 1):
-            if q > 0:
-                v_pow = v_pow * v
-                if v_pow.is_zero() and v_pow.is_exact():
-                    break
-                if F.degree is None:
-                    v_pow = v_pow.truncate(_min_order(target, v_pow.known_order))
-            total = total + F.coeff(n + q) * math.comb(n + q, q) * v_pow
-        if F.degree is None:
-            total = total.truncate(_min_order(target, total.known_order))
-        return total
+        top = target if F.degree is None else F.degree - n
+        return _power_sum(lambda q: F.coeff(n + q) * math.comb(n + q, q), v, top, cut)
 
     return RegularFunction(
         coeff, base_point=F.base_point, radius=F.radius,

@@ -316,13 +316,6 @@ class OmegaNumber:
             return NotImplemented
         return self.pow_rational(exponent)
 
-    def _leading_split(self) -> tuple[Fraction, int, "OmegaNumber"]:
-        """Factor a nonzero value as a*o^v*(1+u) with u infinitesimal."""
-        a, v = self.coeffs[0], self.valuation
-        rel_ko = None if self.known_order is None else self.known_order - v
-        u = _canonical(1, [c / a for c in self.coeffs[1:]], rel_ko)
-        return a, v, u
-
     def invert(self, order: int | None = None) -> "OmegaNumber":
         """Multiplicative inverse, truncated at ``order`` when infinite.
 
@@ -333,21 +326,20 @@ class OmegaNumber:
             if self.is_exact():
                 raise DivisionByZero("inverse of zero")
             raise TruncationUnderflow("no known leading coefficient to invert")
-        a, v, u = self._leading_split()
-        propagated = None if self.known_order is None else self.known_order - 2 * v
-        target = _min_order(order, propagated)
-        monomial = OmegaNumber.from_terms({-v: 1 / a})
-        if u.is_zero() and u.is_exact():
+        a, v = self.coeffs[0], self.valuation
+        if len(self.coeffs) == 1 and self.is_exact():
             # The inverse of an exact monomial is exact; `order` only caps
             # series expansion, it never discards finite knowledge.
-            return monomial if propagated is None else monomial.truncate(propagated)
+            return OmegaNumber.from_terms({-v: 1 / a})
+        propagated = None if self.known_order is None else self.known_order - 2 * v
+        target = _min_order(order, propagated)
         if target is None:
             target = DEFAULT_ORDER
         rel = target + v
         if rel < 0:
             raise TruncationUnderflow("requested order is below the inverse's valuation")
-        geometric = _geometric_sum(-u, rel)
-        return (monomial * geometric).truncate(target)
+        p = _pow_series([c / a for c in self.coeffs[:rel + 1]], -1, rel)
+        return _canonical(-v, [c / a for c in p], target)
 
     def pow_rational(self, alpha: Rational, order: int | None = None) -> "OmegaNumber":
         """``self**alpha`` for a rational exponent.
@@ -359,7 +351,9 @@ class OmegaNumber:
         """
         alpha = _frac(alpha)
         if alpha.denominator == 1:
-            return self._int_pow(alpha.numerator, order)
+            n = alpha.numerator
+            base = self if n >= 0 else self.invert(order)
+            return _pow_by_squaring(base, abs(n), OmegaNumber.one())
         if self.is_zero():
             raise DomainError("fractional power of zero")
         if self.valuation != 0:
@@ -370,32 +364,11 @@ class OmegaNumber:
         if t <= 0:
             raise DomainError("fractional powers need a positive leading coefficient")
         t_alpha = rational_root_power(t, alpha)
-        _, _, u = self._leading_split()
         target = _min_order(order, self.known_order)
         if target is None:
             target = DEFAULT_ORDER
-        total = OmegaNumber.zero()
-        u_pow = OmegaNumber.one()
-        binom = Fraction(1)
-        for k in range(target + 1):
-            if k > 0:
-                binom *= (alpha - (k - 1)) / k
-                u_pow = u_pow * u
-                if u_pow.is_zero() and u_pow.is_exact():
-                    break
-                u_pow = u_pow.truncate(_min_order(target, u_pow.known_order))
-            total = total + u_pow * binom
-        total = total * t_alpha
-        return total.truncate(_min_order(target, total.known_order))
-
-    def _int_pow(self, n: int, order: int | None) -> "OmegaNumber":
-        if n == 0:
-            return OmegaNumber.one()
-        base = self if n > 0 else self.invert(order)
-        result = OmegaNumber.one()
-        for _ in range(abs(n)):
-            result = result * base
-        return result
+        p = _pow_series([c / t for c in self.coeffs[:target + 1]], alpha, target)
+        return _canonical(0, [t_alpha * c for c in p], target)
 
     # -- rendering ----------------------------------------------------
 
@@ -428,6 +401,42 @@ def _mul_trunc(a: Sequence, b: Sequence, limit: int | None = None) -> list:
     return out
 
 
+def _pow_series(u: Sequence, alpha: Fraction | int, limit: int) -> list:
+    """Coefficients 0..limit of ``(1 + u[1]*o + u[2]*o**2 + ...)**alpha``.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
+    ``k*p[k] = sum_{j=1..k} ((alpha+1)*j - k) * u[j] * p[k-j]``.  ``u[0]``
+    is taken to be 1; entries past the end of ``u`` are zero.  A negative
+    limit gives the empty list.
+    """
+    if limit < 0:
+        return []
+    nonzero_u = [(j, c) for j, c in enumerate(u[1:limit + 1], 1) if c]
+    scale = alpha + 1
+    p = [Fraction(1)]
+    for k in range(1, limit + 1):
+        # Fraction(0), not 0: an int 0 / k would be the float 0.0.
+        total = Fraction(0)
+        for j, c in nonzero_u:
+            if j > k:
+                break
+            total += (scale * j - k) * c * p[k - j]
+        p.append(total / k)
+    return p
+
+
+def _pow_by_squaring(base, n: int, one):
+    """``one * base**n`` (``n >= 0``) by binary powering: at most 2*bit_length(n) products."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 def _canonical(valuation: int | None, dense: Sequence, known_order: int | None) -> OmegaNumber:
     """The value sum ``dense[i] * o**(valuation + i)`` with tail ``known_order``.
 
@@ -447,19 +456,6 @@ def _canonical(valuation: int | None, dense: Sequence, known_order: int | None) 
     # From a list, not a generator: tuple(generator) guesses a size and then
     # resizes, so the freed tuples pile up in CPython's per-size free lists.
     return OmegaNumber(valuation + lo, tuple([_frac(c) for c in dense[lo:hi]]), known_order)
-
-
-def _geometric_sum(r: OmegaNumber, relative_order: int) -> OmegaNumber:
-    """1 + r + r^2 + ... truncated at o^relative_order (ord(r) >= 1)."""
-    total = OmegaNumber.one()
-    power = OmegaNumber.one()
-    for _ in range(relative_order):
-        power = (power * r)
-        if power.is_zero() and power.is_exact():
-            break
-        power = power.truncate(_min_order(relative_order, power.known_order))
-        total = total + power
-    return total
 
 
 def _integer_root(value: int, degree: int) -> int | None:

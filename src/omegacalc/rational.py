@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from .errors import DivisionByZero, NotInRo
-from .omega import DEFAULT_ORDER, OmegaNumber, Rational, _frac, _mul_trunc, compare
+from .omega import DEFAULT_ORDER, OmegaNumber, Rational, compare
+from .omega import _frac, _mul_trunc, _pow_by_squaring
 
 Poly = tuple[Fraction, ...]
 
@@ -136,10 +137,8 @@ class RationalFunction:
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:
             return self.invert() ** (-n)
-        out = RationalFunction.from_rational(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        # Starting from 1, even n = 1 reduces an operand through from_polys.
+        return _pow_by_squaring(self, n, RationalFunction.from_rational(1))
 
 
 def expand(rf: RationalFunction, order: int | None = None) -> OmegaNumber:

@@ -145,6 +145,15 @@ class TestTaylorShift:
             v = random_omega(rng, min_exp=1, max_exp=3)
             assert taylor_shift(f, v).eval(u) == f.eval(u + v)
 
+    def test_negative_order_keeps_the_known_s_term(self):
+        # b_0 = sum_q a_q o^q with a_q = (q+1)*S + 1: only q = 0 reaches o^-1,
+        # so its coefficient S is known exactly at order -1, as eval finds.
+        S = OmegaNumber.sigma()
+        f = RegularFunction(lambda n: S * (n + 1) + 1)
+        want = OmegaNumber.from_terms({-1: 1}, known_order=-1)
+        assert taylor_shift(f, O, order=-1).coeff(0) == want
+        assert f.eval(O, order=-1) == want
+
     def test_shift_rejects_standard_offsets(self):
         with pytest.raises(NotInfinitesimal):
             taylor_shift(builtin("exp"), ONE)

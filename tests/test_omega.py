@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omegacalc.errors import (
@@ -19,6 +19,7 @@ from omegacalc.errors import (
 )
 from omegacalc.aleph import AlephInt
 from omegacalc.omega import (
+    DEFAULT_ORDER,
     EQUAL,
     GREATER,
     INFINITE_ORDER,
@@ -31,6 +32,7 @@ from omegacalc.omega import (
     from_json_dict,
     much_less,
     normalize,
+    rational_root_power,
     render_plain,
     sup_finite,
     to_json_dict,
@@ -288,6 +290,200 @@ def rational_functions():
 def test_rational_product_is_naive_convolution(a, b):
     num = naive_convolution(a.num, b.num) if a.num else []
     assert a * b == RationalFunction.from_polys(num, naive_convolution(a.den, b.den))
+
+
+@settings(max_examples=60)
+@given(rational_functions(), st.integers(-4, 7))
+def test_rational_power_is_n_fold_product(a, n):
+    if a.is_zero() and n < 0:
+        with pytest.raises(DivisionByZero):
+            a ** n
+        return
+    base = a if n >= 0 else a.invert()
+    expected = RationalFunction.from_rational(1)
+    for _ in range(abs(n)):
+        expected = expected * base
+    assert a ** n == expected
+
+
+def test_rational_first_power_reduces_its_operand():
+    unreduced = RationalFunction((F(2), F(2)), (F(2),))
+    assert unreduced ** 1 == RationalFunction.from_polys([1, 1], [1])
+
+
+# ---------------------------------------------------------------------------
+# The N-fold loops that Miller's recurrence and binary powering replaced,
+# kept as oracles
+# ---------------------------------------------------------------------------
+
+
+def oracle_leading_split(x):
+    """Factor a nonzero value as a*o^v*(1+u) with u infinitesimal."""
+    a, v = x.coeffs[0], x.valuation
+    rel_ko = None if x.known_order is None else x.known_order - v
+    u = OmegaNumber.from_terms({1 + i: c / a for i, c in enumerate(x.coeffs[1:])}, rel_ko)
+    return a, v, u
+
+
+def oracle_geometric_sum(r, relative_order):
+    """1 + r + r^2 + ... truncated at o^relative_order (ord(r) >= 1)."""
+    total = OmegaNumber.one()
+    power = OmegaNumber.one()
+    for _ in range(relative_order):
+        power = power * r
+        if power.is_zero() and power.is_exact():
+            break
+        power = power.truncate(oracle_min(relative_order, power.known_order))
+        total = total + power
+    return total
+
+
+def oracle_invert(x, order=None):
+    if x.is_zero():
+        if x.is_exact():
+            raise DivisionByZero("inverse of zero")
+        raise TruncationUnderflow("no known leading coefficient to invert")
+    a, v, u = oracle_leading_split(x)
+    propagated = None if x.known_order is None else x.known_order - 2 * v
+    target = oracle_min(order, propagated)
+    monomial = OmegaNumber.from_terms({-v: 1 / a})
+    if u.is_zero() and u.is_exact():
+        return monomial if propagated is None else monomial.truncate(propagated)
+    if target is None:
+        target = DEFAULT_ORDER
+    rel = target + v
+    if rel < 0:
+        raise TruncationUnderflow("requested order is below the inverse's valuation")
+    return (monomial * oracle_geometric_sum(-u, rel)).truncate(target)
+
+
+def oracle_int_pow(x, n, order=None):
+    """n-fold product: |n| multiplications."""
+    if n == 0:
+        return OmegaNumber.one()
+    base = x if n > 0 else oracle_invert(x, order)
+    result = OmegaNumber.one()
+    for _ in range(abs(n)):
+        result = result * base
+    return result
+
+
+def oracle_pow_rational(x, alpha, order=None):
+    """Binomial series sum_k C(alpha, k) u^k with one product per term."""
+    alpha = F(alpha)
+    if alpha.denominator == 1:
+        return oracle_int_pow(x, alpha.numerator, order)
+    if x.is_zero():
+        raise DomainError("fractional power of zero")
+    if x.valuation != 0:
+        raise DomainError("fractional powers need a standard leading term (valuation 0)")
+    t = x.coeffs[0]
+    if t <= 0:
+        raise DomainError("fractional powers need a positive leading coefficient")
+    t_alpha = rational_root_power(t, alpha)
+    _, _, u = oracle_leading_split(x)
+    target = oracle_min(order, x.known_order)
+    if target is None:
+        target = DEFAULT_ORDER
+    total = OmegaNumber.zero()
+    u_pow = OmegaNumber.one()
+    binom = F(1)
+    for k in range(target + 1):
+        if k > 0:
+            binom *= (alpha - (k - 1)) / k
+            u_pow = u_pow * u
+            if u_pow.is_zero() and u_pow.is_exact():
+                break
+            u_pow = u_pow.truncate(oracle_min(target, u_pow.known_order))
+        total = total + u_pow * binom
+    total = total * t_alpha
+    return total.truncate(oracle_min(target, total.known_order))
+
+
+def outcome(fn, *args):
+    """The structural key of the result, or the type of the error raised."""
+    try:
+        return key(fn(*args))
+    except Exception as exc:  # compared by type against the oracle's
+        return type(exc)
+
+
+def series_orders():
+    return st.none() | st.integers(-6, 10)
+
+
+def standard_leads():
+    """Positive leading coefficients with rational square and cube roots."""
+    return st.sampled_from([F(1), F(4), F(9, 4), F(8), F(1, 27), F(64), F(1, 4)])
+
+
+def power_series_operands():
+    """Values a*(1 + u): exact or truncated, dense or with an inexact zero u."""
+    tails = st.dictionaries(st.integers(1, 6), small_fractions(), max_size=5)
+    return st.builds(lambda a, tail, ko: OmegaNumber.from_terms({0: a, **tail}, ko),
+                     standard_leads(), tails, st.none() | st.integers(0, 8))
+
+
+FRACTIONAL_EXPONENTS = [F(1, 2), F(-1, 2), F(3, 2), F(-3, 2), F(1, 3), F(-2, 3), F(5, 4)]
+
+
+@settings(max_examples=200)
+@given(inexact_omegas() | power_series_operands(), series_orders())
+@example(OmegaNumber.from_terms({-1: 2, 0: 1}), -3)  # TruncationUnderflow
+@example(OmegaNumber.from_terms({}, known_order=2), None)  # inexact zero
+@example(OmegaNumber.from_terms({0: 4}, known_order=3), 0)  # inexact zero u
+def test_invert_matches_geometric_oracle(x, order):
+    assert outcome(x.invert, order) == outcome(oracle_invert, x, order)
+
+
+@settings(max_examples=200)
+@given(power_series_operands() | inexact_omegas(), st.sampled_from(FRACTIONAL_EXPONENTS),
+       series_orders())
+@example(OmegaNumber.from_terms({0: 4}, known_order=3), F(1, 2), None)  # inexact zero u
+@example(OmegaNumber.from_terms({0: 4}), F(1, 2), 0)  # exact root, order 0
+@example(OmegaNumber.from_terms({0: 2, 1: 1}), F(1, 2), None)  # irrational root
+def test_pow_rational_matches_binomial_oracle(x, alpha, order):
+    assert outcome(x.pow_rational, alpha, order) == outcome(oracle_pow_rational, x, alpha, order)
+
+
+@settings(max_examples=200)
+@given(inexact_omegas() | power_series_operands(), st.integers(-6, 12), series_orders())
+def test_integer_powers_match_n_fold_oracle(x, n, order):
+    assert outcome(x.__pow__, n) == outcome(oracle_int_pow, x, n)
+    assert outcome(x.pow_rational, n, order) == outcome(oracle_int_pow, x, n, order)
+
+
+def test_integer_power_multiplies_by_squaring(monkeypatch):
+    calls = []
+    multiply = OmegaNumber.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return multiply(self, other)
+
+    x = OmegaNumber.from_terms({0: 1, 1: 1})
+    expected = oracle_int_pow(x, 64)
+    monkeypatch.setattr(OmegaNumber, "__mul__", counting)
+    assert x ** 64 == expected
+    assert len(calls) <= 12
+
+
+@pytest.mark.parametrize("order", [0, 1, 5, 12])
+@pytest.mark.parametrize("case", ["1/(2+o+o^2)", "sqrt(4+o)", "(1+o)^(-3/2)"])
+def test_series_match_sympy(case, order):
+    sympy = pytest.importorskip("sympy")
+    o = sympy.symbols("o")
+    expr, got = {
+        "1/(2+o+o^2)": (1 / (2 + o + o**2),
+                        OmegaNumber.from_terms({0: 2, 1: 1, 2: 1}).invert(order)),
+        "sqrt(4+o)": (sympy.sqrt(4 + o),
+                      OmegaNumber.from_terms({0: 4, 1: 1}).pow_rational(F(1, 2), order)),
+        "(1+o)^(-3/2)": ((1 + o) ** sympy.Rational(-3, 2),
+                         (ONE + O).pow_rational(F(-3, 2), order)),
+    }[case]
+    poly = sympy.Poly(sympy.series(expr, o, 0, order + 1).removeO(), o)
+    want = {k: F(int(c.p), int(c.q)) for (k,), c in poly.terms()}
+    assert got == OmegaNumber.from_terms(want, known_order=order)
 
 
 class TestInvert:
