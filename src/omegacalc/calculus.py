@@ -1,15 +1,14 @@
 """The two differential calculi, their conversion tables, and summation.
 
-``finite_difference`` is the step-o difference operator ``Df(x) =
-f(x+o) - f(x)`` iterated; ``leibniz_differential`` is ``f^(n)(x)*o^n``.
-The lower-triangular tables X and K convert one family into the other.
-
-``integrate``/``S_op`` build the unique regular antidifference through
-exact coefficient tables: ``a(m, l)`` are the coefficients of the
-discrete antiderivative of x^m (Faulhaber's Bernoulli-number closed
-form, computed entry by entry on demand), and ``a_p(p, m, l)`` their
-order-p analogue.  ``brute_sum`` is the literal grid sum kept as
-a finite-step oracle for all of the above.
+``finite_difference`` iterates the step-o difference ``Df(x) = f(x+o) -
+f(x)``; ``leibniz_differential`` is ``f^(n)(x)*o^n``.  Every table reads
+two memoized Stirling triangles, s(n, k) of the first kind and S(n, k)
+of the second (Concrete Mathematics, 6.1): X_p^n = p!*S(n, p) and K =
+|s| convert one calculus into the other, the grid binomials are
+s(k, l)/k!, and the p-fold antidifference a_p(p, m, l) for p >= 2 is a
+closed form in both.  ``integrate``/``S_op`` (p = 1) read a(m, l),
+Faulhaber's Bernoulli-number closed form, which is cheaper per row.
+``brute_sum`` is the literal grid sum, an oracle for all of the above.
 """
 
 from __future__ import annotations
@@ -34,38 +33,54 @@ def _check_range(condition: bool, message: str):
 # ---------------------------------------------------------------------------
 
 
+_STIRLING_ROWS = {1: ((1,),), 2: ((1,),)}
+
+
+def _stirling(kind: int, n: int, k: int) -> int:
+    """s(n, k) for kind 1, with x(x-1)...(x-n+1) = sum_k s(n, k) x^k, or
+    S(n, k) for kind 2, with x^n = sum_k S(n, k) x(x-1)...(x-k+1).
+
+    Rows are filled in order by s(j+1, i) = s(j, i-1) - j*s(j, i) and
+    S(j+1, i) = S(j, i-1) + i*S(j, i), then republished as one tuple:
+    threads filling at once may redo a row but never see a half-built one.
+    """
+    rows = _STIRLING_ROWS[kind]
+    if n >= len(rows):
+        grown = list(rows)
+        for j in range(len(rows) - 1, n):
+            prev = grown[j] + (0,)
+            grown.append((0,) + tuple(
+                prev[i - 1] + (-j if kind == 1 else i) * prev[i] for i in range(1, j + 2)
+            ))
+        rows = _STIRLING_ROWS[kind] = tuple(grown)
+    return rows[n][k] if 0 <= k <= n else 0
+
+
 @functools.cache
 def bernoulli(p: int) -> Fraction:
-    """Bernoulli number B_p in the convention with B_1 = -1/2.
+    """Bernoulli number B_p in the convention with B_1 = -1/2, by
+    Worpitzky's sum_k (-1)^k k! S(p, k)/(k+1), taken over (p+1)!.
 
     The convention is not an axiom here: it is the one that makes
     Faulhaber's formula in ``a_coeff_bernoulli`` sum k^m over k < n.
     """
     _check_range(p >= 0, "Bernoulli index must be nonnegative")
-    if p == 0:
-        return Fraction(1)
-    return -Fraction(
-        sum(math.comb(p + 1, j) * bernoulli(j) for j in range(p)), p + 1
-    )
+    top = math.factorial(p + 1)
+    return Fraction(sum((-1) ** k * math.factorial(k) * (top // (k + 1)) * _stirling(2, p, k)
+                        for k in range(p + 1)), top)
 
 
-@functools.cache
 def x_coeff(p: int, n: int) -> int:
-    """X_p^n = sum_k (-1)^(p-k) C(p,k) k^n: weight of d^n/n! inside D^p."""
+    """X_p^n = p!*S(n, p): weight of d^n/n! inside D^p."""
     _check_range(p >= 0 and n >= 0, "X indices must be nonnegative")
-    return sum((-1) ** (p - k) * math.comb(p, k) * k**n for k in range(p + 1))
+    return math.factorial(p) * _stirling(2, n, p)
 
 
-@functools.cache
 def k_coeff(top: int, size: int) -> int:
-    """Sum of all products of `size` distinct factors from {1..top}."""
+    """Sum of all products of `size` distinct factors from {1..top}:
+    the unsigned first-kind number |s(top+1, top+1-size)|."""
     _check_range(size >= 0 and top >= 0, "K indices must be nonnegative")
-    if size == 0:
-        return 1
-    if size > top:
-        return 0
-    # e_j(1..n) = e_j(1..n-1) + n*e_{j-1}(1..n-1)
-    return k_coeff(top - 1, size) + top * k_coeff(top - 1, size - 1)
+    return abs(_stirling(1, top + 1, top + 1 - size))
 
 
 def d_to_D(p: int, n_max: int) -> list[Fraction]:
@@ -75,13 +90,11 @@ def d_to_D(p: int, n_max: int) -> list[Fraction]:
 
 
 def D_to_d(n: int, p_max: int) -> list[Fraction]:
-    """Weights of D^n..D^p_max in the expansion of d^n."""
+    """Weights of D^n..D^p_max in the expansion of d^n: s(p, n)*n!/p!."""
     _check_range(1 <= n <= p_max, "D_to_d order out of range")
     n_fact = math.factorial(n)
-    return [
-        Fraction((-1) ** (p - n) * k_coeff(p - 1, p - n) * n_fact, math.factorial(p))
-        for p in range(n, p_max + 1)
-    ]
+    return [Fraction(_stirling(1, p, n) * n_fact, math.factorial(p))
+            for p in range(n, p_max + 1)]
 
 
 def a_coeff_bernoulli(m: int, l: int) -> Fraction:
@@ -98,27 +111,33 @@ def a_coeff(m: int, l: int) -> Fraction:
 
 
 @functools.cache
-def _iterated_antidifference(p: int, m: int) -> tuple[Fraction, ...]:
+def _stirling_antidifference(p: int, m: int) -> tuple[Fraction, ...]:
     """Coefficients (index = power) of the p-fold antidifference of x^m
-    whose first p differences all vanish at 0."""
-    poly = [Fraction(0)] * m + [Fraction(1)]
-    for _ in range(p):
-        out = [Fraction(0)] * (len(poly) + 1)
-        for l, c in enumerate(poly):
-            if c == 0:
-                continue
-            for j in range(1, l + 2):
-                out[j] += c * a_coeff(l, j)
-        poly = out
-    return tuple(poly)
+    whose first p differences all vanish at 0.
+
+    x^m = sum_k S(m, k) x^(k falling), and Delta x^(j falling) = j*x^(j-1
+    falling), so the antidifference is sum_k S(m, k) k!/(k+p)! x^(k+p
+    falling); expand by s(k+p, l) and sum in integers over (m+p)!.
+    """
+    top = math.factorial(m + p)
+    weights = [_stirling(2, m, k) * math.factorial(k) * (top // math.factorial(k + p))
+               for k in range(m + 1)]
+    return tuple(
+        Fraction(sum(w * _stirling(1, k + p, l) for k, w in enumerate(weights) if w), top)
+        for l in range(m + p + 1)
+    )
 
 
 def a_coeff_p(p: int, m: int, l: int) -> Fraction:
-    """Coefficient of x^l * o^(m+p-l) in the order-p antiderivative of x^m."""
+    """Coefficient of x^l * o^(m+p-l) in the order-p antiderivative of x^m.
+
+    p = 1 reads Faulhaber's a(m, l), which costs O(m) per row; p >= 2 is
+    the Stirling closed form, O(m^2) per row.
+    """
     _check_range(p >= 1, "p must be >= 1")
     _check_range(m >= 0, "m must be nonnegative")
     _check_range(1 <= l <= m + p, "l must be in 1..m+p")
-    return _iterated_antidifference(p, m)[l]
+    return a_coeff(m, l) if p == 1 else _stirling_antidifference(p, m)[l]
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +183,35 @@ def leibniz_differential(
 def monomial_primitive(m: int, p: int = 1) -> RegularFunction:
     """q_m^(p): the order-p antiderivative of x^m with vanishing initial
     differences, as an exact o-weighted polynomial."""
-    coeffs = [OmegaNumber.zero()]
-    for l in range(1, m + p + 1):
-        coeffs.append(
-            OmegaNumber.from_terms({m + p - l: a_coeff_p(p, m, l)})
-        )
+    coeffs = [OmegaNumber.zero()] + [
+        OmegaNumber.from_terms({m + p - l: a_coeff_p(p, m, l)}) for l in range(1, m + p + 1)
+    ]
     name = f"q_{m}" if p == 1 else f"q_{m}^({p})"
     return RegularFunction.polynomial(coeffs, name=name)
+
+
+def _p_fold_sum(F: RegularFunction, p: int, order: int | None, c0: OmegaNumber):
+    """Coefficients of the p-fold summation of F whose coefficient 0 is c0.
+
+    Coefficient l >= 1 collects a_p(p, m, l) * coeff_F(m) * o^(m+p-l)
+    over m; rising o-powers make the sum finite at any truncation order.
+    """
+    target = order if order is not None else DEFAULT_ORDER
+
+    def coeff(l: int) -> OmegaNumber:
+        if l == 0:
+            return c0
+        m_top = F.degree if F.degree is not None else l - p + target
+        total = OmegaNumber.zero()
+        for m in range(max(l - p, 0), m_top + 1):
+            total = total + F.coeff(m) * OmegaNumber.from_terms(
+                {m + p - l: a_coeff_p(p, m, l)}
+            )
+        if F.degree is None:
+            total = total.truncate(_min_order(target, total.known_order))
+        return total
+
+    return coeff
 
 
 def integrate(
@@ -178,31 +219,12 @@ def integrate(
     a0: OmegaNumber | Rational = 0,
     order: int | None = None,
 ) -> RegularFunction:
-    """The regular antidifference G with DG = F*o and G(base_point) = a0.
-
-    Coefficient l collects a(m, l) * coeff_F(m) * o^(m+1-l); rising
-    o-powers make the sum finite at any truncation order.
-    """
-    a0 = _as_omega(a0)
-    target = order if order is not None else DEFAULT_ORDER
-
-    def coeff(l: int) -> OmegaNumber:
-        if l == 0:
-            return a0
-        m_top = F.degree if F.degree is not None else l - 1 + target
-        total = OmegaNumber.zero()
-        for m in range(l - 1, m_top + 1):
-            total = total + F.coeff(m) * OmegaNumber.from_terms(
-                {m + 1 - l: a_coeff(m, l)}
-            )
-        if F.degree is None:
-            total = total.truncate(_min_order(target, total.known_order))
-        return total
-
-    degree = None if F.degree is None else F.degree + 1
+    """The regular antidifference G with DG = F*o and G(base_point) = a0:
+    the p = 1 summation plus a0."""
     return RegularFunction(
-        coeff, base_point=F.base_point, radius=F.radius,
-        name=f"int[{F.name}]", degree=degree,
+        _p_fold_sum(F, 1, order, _as_omega(a0)), base_point=F.base_point,
+        radius=F.radius, name=f"int[{F.name}]",
+        degree=None if F.degree is None else F.degree + 1,
     )
 
 
@@ -219,10 +241,9 @@ def D_op(G: RegularFunction, order: int | None = None) -> RegularFunction:
         q_top = G.degree - l if G.degree is not None else target + 1
         total = OmegaNumber.zero()
         for q in range(1, q_top + 1):
-            factor = Fraction(
-                math.factorial(l + q), math.factorial(l) * math.factorial(q)
+            total = total + G.coeff(l + q) * OmegaNumber.from_terms(
+                {q - 1: math.comb(l + q, q)}
             )
-            total = total + G.coeff(l + q) * OmegaNumber.from_terms({q - 1: factor})
         if G.degree is None:
             total = total.truncate(_min_order(target, total.known_order))
         return total
@@ -288,18 +309,13 @@ def brute_sum_iterated(
 
 
 def grid_binomial(k: int) -> RegularFunction:
-    """B^k(x) = x(x-o)...(x-(k-1)o)/k!, the grid binomial polynomial."""
-    result = [OmegaNumber.one()]
-    for j in range(k):
-        shifted = [OmegaNumber.zero()] * (len(result) + 1)
-        step = OmegaNumber.from_terms({1: -j})
-        for i, c in enumerate(result):
-            shifted[i + 1] = shifted[i + 1] + c
-            shifted[i] = shifted[i] + c * step
-        result = shifted
-    inv_fact = Fraction(1, math.factorial(k))
+    """B^k(x) = x(x-o)...(x-(k-1)o)/k!, the grid binomial polynomial:
+    coefficient l is s(k, l)/k! * o^(k-l)."""
+    k_fact = math.factorial(k)
     return RegularFunction.polynomial(
-        [c * inv_fact for c in result], name=f"B^{k}"
+        [OmegaNumber.from_terms({k - l: Fraction(_stirling(1, k, l), k_fact)})
+         for l in range(k + 1)],
+        name=f"B^{k}",
     )
 
 
@@ -321,23 +337,11 @@ def solve_ode(
         raise ValueError(f"need exactly {p} initial conditions")
     if F.base_point != 0:
         raise ValueError("order-p systems are posed at base point 0")
-    target = order if order is not None else DEFAULT_ORDER
 
-    def sp_coeff(l: int) -> OmegaNumber:
-        if l == 0:
-            return OmegaNumber.zero()
-        m_top = F.degree if F.degree is not None else l - p + target
-        total = OmegaNumber.zero()
-        for m in range(max(l - p, 0), m_top + 1):
-            total = total + F.coeff(m) * OmegaNumber.from_terms(
-                {m + p - l: a_coeff_p(p, m, l)}
-            )
-        if F.degree is None:
-            total = total.truncate(_min_order(target, total.known_order))
-        return total
-
-    sp_degree = None if F.degree is None else F.degree + p
-    sp_part = RegularFunction(sp_coeff, name=f"S^{p}[{F.name}]", degree=sp_degree)
+    sp_part = RegularFunction(
+        _p_fold_sum(F, p, order, OmegaNumber.zero()), name=f"S^{p}[{F.name}]",
+        degree=None if F.degree is None else F.degree + p,
+    )
 
     combo = RegularFunction.constant(_as_omega(C[0]))
     for k in range(1, p):

@@ -312,18 +312,8 @@ def table_text(name: str, max_order: int, p: int = 1) -> str:
                 ]
             )
         return _aligned(rows)
-    if name == "a":
-        rows = [["m\\l"] + [str(l) for l in range(1, M + 2)]]
-        for m in range(M + 1):
-            rows.append(
-                [str(m)]
-                + [
-                    str(calculus.a_coeff(m, l)) if l <= m + 1 else "."
-                    for l in range(1, M + 2)
-                ]
-            )
-        return _aligned(rows)
-    if name == "ap":
+    if name in ("a", "ap"):
+        p = 1 if name == "a" else p
         rows = [["m\\l"] + [str(l) for l in range(1, M + p + 1)]]
         for m in range(M + 1):
             rows.append(
@@ -584,12 +574,13 @@ def _build_argparser() -> argparse.ArgumentParser:
     return top
 
 
-def _max_order() -> int:
-    raw = os.environ.get("OMEGA_MAX_ORDER", "32")
+def _max_order() -> int | None:
+    """The OMEGA_MAX_ORDER cap (default 32), or None when it is malformed."""
     try:
-        return int(raw)
+        cap = int(os.environ.get("OMEGA_MAX_ORDER", "32"))
     except ValueError:
-        return 32
+        return None
+    return cap if cap >= 0 else None
 
 
 def _repl(order: int, mode: str, out) -> int:
@@ -614,9 +605,13 @@ def main(argv=None, out=None) -> int:
     order = args.order if args.order is not None else DEFAULT_ORDER
     mode = args.format if args.format is not None else "plain"
 
-    if order < 0 or order > _max_order():
+    cap = _max_order()
+    if cap is None:
+        print("error: OMEGA_MAX_ORDER must be a nonnegative integer", file=sys.stderr)
+        return 2
+    if order < 0 or order > cap:
         print(
-            f"error: --order must be between 0 and {_max_order()} "
+            f"error: --order must be between 0 and {cap} "
             "(cap set by OMEGA_MAX_ORDER)",
             file=sys.stderr,
         )

@@ -1,19 +1,29 @@
 """Differentials, conversion tables, summation, and the operator pair.
 
-Every table is checked against an independent oracle: a recurrence for
-the alternating sums, literal subset products for the symmetric sums,
-the inverse of the binomial matrix for the Bernoulli closed form of the
-antidifference tables, and the literal grid sum for everything built
-from them.
+Every table is checked against an independent oracle: the partition
+recurrence and the alternating sum for X, literal subset products and
+the expanded product (1+t)(1+2t)... for K, the step-by-step product for
+the grid binomials, the inverse of the binomial matrix for the Bernoulli
+closed form, the p-fold re-expansion through a(m, l) for the Stirling
+form of a_p, and the literal grid sum for everything built from them.
+The replaced implementations of those tables and of the summation loops
+are kept here as oracles.
 """
 
 import functools
+import hashlib
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import omegacalc
 from omegacalc.calculus import (
     D_op,
     D_to_d,
@@ -35,8 +45,8 @@ from omegacalc.calculus import (
     x_coeff,
 )
 from omegacalc.errors import IndexOutOfRange
-from omegacalc.functions import RegularFunction, derivative
-from omegacalc.omega import OmegaNumber
+from omegacalc.functions import RegularFunction, _as_omega, builtin, derivative
+from omegacalc.omega import DEFAULT_ORDER, OmegaNumber, _min_order
 
 O = OmegaNumber.o()
 ONE = OmegaNumber.one()
@@ -89,6 +99,128 @@ def oracle_a_p(p: int, m: int) -> list[F]:
     return poly
 
 
+def x_coeff_alternating(p: int, n: int) -> int:
+    """X_p^n = sum_k (-1)^(p-k) C(p,k) k^n, the former ``x_coeff``."""
+    return sum((-1) ** (p - k) * math.comb(p, k) * k**n for k in range(p + 1))
+
+
+def k_rows_oracle(top_max: int) -> list[list[int]]:
+    """Row top lists e_size(1..top), size = 0..top+1: the coefficients of
+    (1+t)(1+2t)...(1+top*t), with the zero at size top+1."""
+    rows, e = [], [1]
+    for top in range(top_max + 1):
+        if top:
+            e = [a + top * b for a, b in zip(e + [0], [0] + e)]
+        rows.append(e + [0])
+    return rows
+
+
+@functools.cache
+def iterated_antidifference_oracle(p: int, m: int) -> tuple[F, ...]:
+    """Coefficients (index = power) of the p-fold antidifference of x^m
+    whose first p differences all vanish at 0: the former
+    ``_iterated_antidifference``, re-expanding through a(m, l) p times."""
+    poly = [F(0)] * m + [F(1)]
+    for _ in range(p):
+        out = [F(0)] * (len(poly) + 1)
+        for l, c in enumerate(poly):
+            if c == 0:
+                continue
+            for j in range(1, l + 2):
+                out[j] += c * a_coeff(l, j)
+        poly = out
+    return tuple(poly)
+
+
+def grid_binomial_product(k: int) -> RegularFunction:
+    """B^k(x) = x(x-o)...(x-(k-1)o)/k! multiplied out factor by factor:
+    the former ``grid_binomial``."""
+    result = [OmegaNumber.one()]
+    for j in range(k):
+        shifted = [OmegaNumber.zero()] * (len(result) + 1)
+        step = OmegaNumber.from_terms({1: -j})
+        for i, c in enumerate(result):
+            shifted[i + 1] = shifted[i + 1] + c
+            shifted[i] = shifted[i] + c * step
+        result = shifted
+    inv_fact = F(1, math.factorial(k))
+    return RegularFunction.polynomial(
+        [c * inv_fact for c in result], name=f"B^{k}"
+    )
+
+
+def integrate_oracle(f, a0=0, order=None) -> RegularFunction:
+    """The former ``integrate``, with its own summation loop."""
+    a0 = _as_omega(a0)
+    target = order if order is not None else DEFAULT_ORDER
+
+    def coeff(l):
+        if l == 0:
+            return a0
+        m_top = f.degree if f.degree is not None else l - 1 + target
+        total = OmegaNumber.zero()
+        for m in range(l - 1, m_top + 1):
+            total = total + f.coeff(m) * OmegaNumber.from_terms(
+                {m + 1 - l: a_coeff(m, l)}
+            )
+        if f.degree is None:
+            total = total.truncate(_min_order(target, total.known_order))
+        return total
+
+    degree = None if f.degree is None else f.degree + 1
+    return RegularFunction(coeff, base_point=f.base_point, radius=f.radius,
+                           name=f"int[{f.name}]", degree=degree)
+
+
+def solve_ode_oracle(f, p, C, order=None) -> RegularFunction:
+    """The former ``solve_ode``, with its own summation loop over the
+    iterated antidifference and the product-loop grid binomials."""
+    target = order if order is not None else DEFAULT_ORDER
+
+    def sp_coeff(l):
+        if l == 0:
+            return OmegaNumber.zero()
+        m_top = f.degree if f.degree is not None else l - p + target
+        total = OmegaNumber.zero()
+        for m in range(max(l - p, 0), m_top + 1):
+            total = total + f.coeff(m) * OmegaNumber.from_terms(
+                {m + p - l: iterated_antidifference_oracle(p, m)[l]}
+            )
+        if f.degree is None:
+            total = total.truncate(_min_order(target, total.known_order))
+        return total
+
+    sp_degree = None if f.degree is None else f.degree + p
+    sp_part = RegularFunction(sp_coeff, name=f"S^{p}[{f.name}]", degree=sp_degree)
+    combo = RegularFunction.constant(_as_omega(C[0]))
+    for k in range(1, p):
+        combo = combo + grid_binomial_product(k).scale(_as_omega(C[k]))
+    g = sp_part + combo
+    return RegularFunction(g.coeff, name=f"ode{p}[{f.name}]", degree=g.degree)
+
+
+def key(x: OmegaNumber):
+    return (x.valuation, x.coeffs, x.known_order, [type(c) for c in x.coeffs])
+
+
+def summation_streams() -> dict[str, RegularFunction]:
+    """Exact, inexact and S-carrying streams, finite and infinite."""
+    return {
+        "exp": builtin("exp"),
+        "poly": RegularFunction.polynomial([3, F(-1, 2), 0, 5]),
+        "inexact": RegularFunction(
+            lambda n: OmegaNumber.from_terms({0: F(1, n + 1), 2: n}, known_order=n % 4 + 1)
+        ),
+        "S-stream": RegularFunction(
+            lambda n: OmegaNumber.from_terms({-1: n - 2, 1: F(1, 3)})
+        ),
+        "S-poly": RegularFunction.polynomial(
+            [OmegaNumber.from_terms({-2: 1, 0: 4}),
+             OmegaNumber.from_terms({-1: F(2, 3)}, known_order=2)]
+        ),
+    }
+
+
 def random_polynomial(rng, degree=4) -> RegularFunction:
     return RegularFunction.polynomial(
         [F(rng.randint(-10, 10)) for _ in range(degree + 1)]
@@ -107,6 +239,11 @@ class TestXTable:
             for n in range(13):
                 assert x_coeff(p, n) == math.factorial(p) * stirling2_oracle(n, p)
 
+    def test_against_alternating_sum(self):
+        for p in range(41):
+            for n in range(41):
+                assert x_coeff(p, n) == x_coeff_alternating(p, n)
+
 
 class TestKTable:
     def test_against_literal_subset_products(self):
@@ -121,6 +258,71 @@ class TestKTable:
     def test_full_product_is_factorial(self):
         for p in range(1, 10):
             assert k_coeff(p - 1, p - 1) == math.factorial(p - 1)
+
+    def test_against_expanded_product(self):
+        for top, row in enumerate(k_rows_oracle(60)):
+            assert [k_coeff(top, size) for size in range(top + 2)] == row
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run a script in a new interpreter, so every table starts cold."""
+    src = str(Path(omegacalc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+COLD_THREADS = """
+import hashlib, json, sys, threading
+from omegacalc.calculus import k_coeff, x_coeff
+sys.setswitchinterval(1e-6)
+N, THREADS = 200, 8
+start = threading.Barrier(THREADS)
+grids = [None] * THREADS
+
+def fill(t):
+    # each thread starts at a different height, so several fill at once
+    order = list(range(N + 1))
+    order = order[t * 25:] + order[:t * 25]
+    start.wait()
+    k = {top: [k_coeff(top, size) for size in range(top + 2)] for top in order}
+    x = {n: [x_coeff(p, n) for p in range(N + 1)] for n in order}
+    grids[t] = ([k[top] for top in range(N + 1)], [x[n] for n in range(N + 1)])
+
+threads = [threading.Thread(target=fill, args=(t,)) for t in range(THREADS)]
+for th in threads:
+    th.start()
+for th in threads:
+    th.join()
+digest = lambda g: hashlib.sha256(repr(g).encode()).hexdigest()
+print(json.dumps({
+    "k": [digest(k) for k, _ in grids],
+    "x": [digest(x) for _, x in grids],
+    "x_rows": {n: [str(v) for v in grids[0][1][n]] for n in (40, 199, 200)},
+}))
+"""
+
+
+class TestColdTriangles:
+    def test_k_coeff_600_on_a_cold_cache(self):
+        # The former recursive k_coeff overflowed the stack from about 500.
+        proc = run_fresh("from omegacalc.calculus import k_coeff; print(k_coeff(600, 2))")
+        assert proc.returncode == 0, proc.stderr
+        n = 600
+        total, squares = n * (n + 1) // 2, sum(i * i for i in range(1, n + 1))
+        assert int(proc.stdout) == (total**2 - squares) // 2
+
+    def test_eight_threads_fill_cold_triangles(self):
+        proc = run_fresh(COLD_THREADS)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        k_oracle = hashlib.sha256(repr(k_rows_oracle(200)).encode()).hexdigest()
+        assert got["k"] == [k_oracle] * 8
+        assert len(set(got["x"])) == 1
+        for n, row in got["x_rows"].items():
+            n = int(n)
+            assert [int(v) for v in row] == [x_coeff_alternating(p, n) for p in range(201)]
 
 
 class TestConversions:
@@ -195,6 +397,14 @@ class TestATables:
                 expected = oracle_a_p(p, m)
                 for l in range(1, m + p + 1):
                     assert a_coeff_p(p, m, l) == expected[l]
+
+    def test_order_p_matches_iterated_oracle(self):
+        for p in range(1, 6):
+            for m in range(41):
+                expected = iterated_antidifference_oracle(p, m)
+                for l in range(1, m + p + 1):
+                    got = a_coeff_p(p, m, l)
+                    assert type(got) is F and got == expected[l]
 
     def test_order_one_collapses(self):
         for m in range(9):
@@ -422,6 +632,14 @@ class TestGridBinomial:
                 x = O * j
                 assert finite_difference(bk, x, 1) == prev.eval(x) * O
 
+    def test_matches_product_oracle(self):
+        for k in range(13):
+            got, expected = grid_binomial(k), grid_binomial_product(k)
+            assert got.degree == expected.degree
+            assert got.name == expected.name
+            for l in range(k + 3):
+                assert key(got.coeff(l)) == key(expected.coeff(l))
+
     def test_initial_conditions_are_kronecker(self):
         for j in range(4):
             for k in range(4):
@@ -466,3 +684,29 @@ class TestSolveOde:
             for k in (0, 3, 11):
                 x = O * k
                 assert finite_difference(g, x, p) == f.eval(x) * OmegaNumber.o(p)
+
+
+class TestSummationLoop:
+    """integrate and solve_ode share one summation loop; each must give
+    the structure the former separate loops gave."""
+
+    @pytest.mark.parametrize("order", [0, 8, 16])
+    @pytest.mark.parametrize("name", list(summation_streams()))
+    def test_integrate_matches_former_loop(self, name, order):
+        f = summation_streams()[name]
+        a0 = OmegaNumber.from_terms({0: F(2, 3), 1: 1}, known_order=4)
+        got, expected = integrate(f, a0, order=order), integrate_oracle(f, a0, order=order)
+        assert (got.degree, got.name) == (expected.degree, expected.name)
+        for l in range(10):
+            assert key(got.coeff(l)) == key(expected.coeff(l))
+
+    @pytest.mark.parametrize("order", [0, 8, 16])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(summation_streams()))
+    def test_solve_ode_matches_former_loop(self, name, p, order):
+        f = summation_streams()[name]
+        C = [F(1, 2), OmegaNumber.from_terms({-1: 1, 0: 3}), F(-4)][:p]
+        got, expected = solve_ode(f, p, C, order=order), solve_ode_oracle(f, p, C, order=order)
+        assert (got.degree, got.name) == (expected.degree, expected.name)
+        for l in range(10):
+            assert key(got.coeff(l)) == key(expected.coeff(l))

@@ -5,6 +5,7 @@ every command is run twice and must agree byte-for-byte with itself and
 with the frozen text.
 """
 
+import hashlib
 import io
 import json
 from fractions import Fraction as F
@@ -304,6 +305,16 @@ class TestOrderCap:
         code, _ = run_cli(["eval", "o", "--order", "32"])
         assert code == 0
 
+    @pytest.mark.parametrize("raw", ["abc", "-3", "1.5", ""])
+    def test_malformed_cap_is_refused(self, monkeypatch, capsys, raw):
+        monkeypatch.setenv("OMEGA_MAX_ORDER", raw)
+        code, out = run_cli(["--order", "20", "eval", "o"])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "error: OMEGA_MAX_ORDER must be a nonnegative integer\n"
+        )
+
 
 class TestFlagPlacement:
     @pytest.mark.parametrize("flags", [["--order", "4"], ["--format", "json"],
@@ -357,3 +368,26 @@ class TestTablesBeyondOrder32:
             assert cells[m + 1:] == ["."] * (40 - m)
             for l, cell in enumerate(cells[:m + 1], start=1):
                 assert F(cell) == oracle_a(m, l)
+
+
+# sha256 of `omega-calc table NAME --max 40` stdout, taken before the
+# tables were rebuilt on the Stirling triangles.
+TABLE_DIGESTS = {
+    "bernoulli": "3dbc23def0ecfaf053475fec63350d98172e08661223185acfed950821e98b4e",
+    "dtoD": "27389411a9a875092ac5f7ebe8515eb5b0bbae54fb6998892ea7f9a65078992f",
+    "Dtod": "666763dbd9bbf1d95b813295319fd30355374ee0804123acdee236ec230f1642",
+    "X": "53c5b1d82d5f188313c6a3921d5a03b41cf95756b5ba92813041754f7d4de103",
+    "K": "529b8a3a2368a67ea930338d78d371e67446045fa4d9bea97f6aa98f6f29676d",
+    "a": "3450b0572758b32d07665b0ed5000f6da74b0cf38f8e67ee4d95ad78c43f373c",
+    "ap --p 2": "a5b8d6796706d1760f323346ec0cf26fffc9f71cf25956e3b79bf8863f29c27a",
+    "ap --p 3": "718475cf1e9be693b0c49859cf3c64cc8733ddcc2700cb66ac0d8fc9f9d460c9",
+}
+
+
+class TestTableDigests:
+    @pytest.mark.parametrize("table", TABLE_DIGESTS)
+    def test_table_max_40_is_byte_identical(self, table):
+        name, *rest = table.split()
+        code, out = run_cli(["table", name, "--max", "40", *rest])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[table]
