@@ -8,8 +8,10 @@ a nonstandard model of the usual induction structure, and the maps
 ``phi``/``psi`` identify it with the grid ``t + k*o`` of step-``o``
 points.
 
-Addition and multiplication are plain polynomial laws in S; they agree
-with the inductive defining equations (``L + S(M) = L + M + 1``,
+An ``AlephInt`` is a view of one exact ``OmegaNumber``: its ring laws and
+its order are those of the Omega numbers, restricted to values with no
+o-part.  Addition and multiplication are plain polynomial laws in S; they
+agree with the inductive defining equations (``L + S(M) = L + M + 1``,
 ``L * S(M) = L*M + L``) on every finite unrolling, which the test suite
 checks directly.
 """
@@ -24,33 +26,30 @@ from .errors import (
     OutOfDomain,
     PredecessorOfZero,
 )
-from .omega import (
-    DEFAULT_ORDER, OmegaNumber, Rational, _frac, _mul_trunc, compare, render_plain,
-)
+from .omega import DEFAULT_ORDER, OmegaNumber, Rational, _frac, compare, render_plain
 
 
 @dataclass(frozen=True)
 class AlephInt:
-    """coeffs[k] is the coefficient of S^k; trailing zeros are stripped."""
+    """An exact ``OmegaNumber`` with no o-part and an integer constant term.
 
-    coeffs: tuple[Fraction, ...]
+    ``coeffs[k]`` is the coefficient of S^k (``o^-k``); zero is ``(0,)``.
+    """
+
+    value: OmegaNumber
 
     def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("use from_coeffs; zero is stored as (0,)")
-        if len(self.coeffs) > 1 and self.coeffs[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero")
-        if self.coeffs[0].denominator != 1:
-            raise ValueError("constant term must be an integer")
+        v = self.value
+        if not v.is_exact():
+            raise OutOfDomain("nonstandard integers are exact values")
+        if v.coeffs and v.valuation + len(v.coeffs) > 1:
+            raise OutOfDomain("value has a nonzero o-part")
+        if v.coefficient(0).denominator != 1:
+            raise OutOfDomain("constant term is not an integer")
 
     @staticmethod
     def from_coeffs(values) -> "AlephInt":
-        coeffs = [_frac(v) for v in values]
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            coeffs = [Fraction(0)]
-        return AlephInt(tuple(coeffs))
+        return AlephInt(OmegaNumber.from_terms([(-k, c) for k, c in enumerate(values)]))
 
     @staticmethod
     def from_int(n: int) -> "AlephInt":
@@ -61,46 +60,44 @@ class AlephInt:
         return AlephInt.from_coeffs([0, 1])
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        v = self.value
+        if not v.coeffs:
+            return (Fraction(0),)
+        top = v.valuation + len(v.coeffs) - 1  # <= 0: the S^-top coefficient
+        return (Fraction(0),) * -top + v.coeffs[::-1]
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return -self.value.valuation if self.value.coeffs else 0
 
     def is_zero(self) -> bool:
-        return self.coeffs == (Fraction(0),)
+        return self.value.is_zero()
 
     def in_aleph_plus(self) -> bool:
         """Membership in the nonnegative cone: infinite with positive lead,
         or a standard natural number."""
-        if self.degree >= 1:
-            return self.coeffs[-1] > 0
-        return self.coeffs[0] >= 0
+        return self.is_zero() or self.value.coeffs[0] > 0
 
     def to_omega(self) -> OmegaNumber:
-        return OmegaNumber.from_terms({-k: c for k, c in enumerate(self.coeffs)})
+        return self.value
 
     # -- ring structure (full ring: negatives included) ---------------
 
     def __add__(self, other) -> "AlephInt":
-        other = _as_aleph(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return AlephInt.from_coeffs(
-            [
-                (self.coeffs[k] if k < len(self.coeffs) else 0)
-                + (other.coeffs[k] if k < len(other.coeffs) else 0)
-                for k in range(n)
-            ]
-        )
+        return AlephInt(self.value + _as_aleph(other).value)
 
     def __neg__(self) -> "AlephInt":
-        return AlephInt.from_coeffs([-c for c in self.coeffs])
+        return AlephInt(-self.value)
 
     def __sub__(self, other) -> "AlephInt":
-        return self + (-_as_aleph(other))
+        return AlephInt(self.value - _as_aleph(other).value)
 
     def __mul__(self, other) -> "AlephInt":
-        return AlephInt.from_coeffs(_mul_trunc(self.coeffs, _as_aleph(other).coeffs))
+        return AlephInt(self.value * _as_aleph(other).value)
 
     def __str__(self) -> str:
-        return render_plain(self.to_omega())
+        return render_plain(self.value)
 
     def __repr__(self) -> str:
         return f"AlephInt({str(self)!r})"
@@ -116,18 +113,7 @@ def _as_aleph(value) -> AlephInt:
 
 def aleph_from_omega(x: OmegaNumber) -> AlephInt:
     """Reinterpret an exact value with no o-part as a nonstandard integer."""
-    if not x.is_exact():
-        raise OutOfDomain("nonstandard integers are exact values")
-    coeffs: dict[int, Fraction] = {}
-    for e, c in x.terms():
-        if e > 0:
-            raise OutOfDomain("value has a nonzero o-part")
-        coeffs[-e] = c
-    n = max(coeffs) if coeffs else 0
-    row = [coeffs.get(k, Fraction(0)) for k in range(n + 1)]
-    if row[0].denominator != 1:
-        raise OutOfDomain("constant term is not an integer")
-    return AlephInt.from_coeffs(row)
+    return AlephInt(x)
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +143,7 @@ def odiamond(L: AlephInt, M: AlephInt) -> AlephInt:
 
 def compare_aleph(L: AlephInt, M: AlephInt) -> int:
     """Total order with S-powers dominating: 1 << S << S^2 ..."""
-    n = max(len(L.coeffs), len(M.coeffs))
-    for k in range(n - 1, -1, -1):
-        a = L.coeffs[k] if k < len(L.coeffs) else Fraction(0)
-        b = M.coeffs[k] if k < len(M.coeffs) else Fraction(0)
-        if a != b:
-            return 1 if a > b else -1
-    return 0
+    return compare(L.value, M.value)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +182,7 @@ def psi(L: AlephInt) -> GridPoint:
     """Inverse of phi: ``a_1*S + a_0 -> a_1 + a_0*o``."""
     if L.degree > 1 or not L.in_aleph_plus():
         raise OutOfDomain("psi needs a nonnegative integer of degree <= 1")
-    k = L.coeffs[0]
-    t = L.coeffs[1] if L.degree == 1 else Fraction(0)
-    return GridPoint(t, int(k))
+    return GridPoint(L.value.coefficient(-1), int(L.value.coefficient(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +200,13 @@ def integer_truncature(x: OmegaNumber) -> AlephInt:
     """
     if x.known_order is not None and x.known_order < 0:
         raise IndistinguishableAtTruncation("constant coefficient is unknown")
-    sigma_part = {k: c for k, c in x.terms() if k < 0}
     c0 = x.coefficient(0)
     if c0.denominator == 1:
         d0 = c0 + _sign_of_tail(x)  # -1 when the o-part is negative
     else:
-        d0 = Fraction(c0.numerator // c0.denominator)
-    coeffs: dict[int, Fraction] = {-k: c for k, c in sigma_part.items()}
-    n = max(coeffs) if coeffs else 0
-    return AlephInt.from_coeffs(
-        [d0 if k == 0 else coeffs.get(k, Fraction(0)) for k in range(n + 1)]
-    )
+        d0 = c0.numerator // c0.denominator
+    sigma_part = [(e, c) for e, c in x.terms() if e < 0]
+    return AlephInt(OmegaNumber.from_terms(sigma_part + [(0, d0)]))
 
 
 def _sign_of_tail(x: OmegaNumber) -> int:

@@ -1,10 +1,11 @@
 """omega-calc: command dispatcher and canonical formatter.
 
-Exit codes: 0 success, 1 parse error, 2 math error, 3 comparison or
-floor undecidable at the working truncation order.  Errors go to stderr
-and never print partial results.  The working order is the per-call
-``--order`` flag (default 8), capped by the OMEGA_MAX_ORDER environment
-variable (default 32).
+Exit codes: 0 success, 1 parse error (and nothing else), 2 math error
+or bad argument, 3 comparison or floor undecidable at the working
+truncation order.  Every error is one ``error: ...`` line on stderr,
+never a traceback, and no partial result is printed.  The working
+order is the per-call ``--order`` flag (default 8), capped by the
+OMEGA_MAX_ORDER environment variable (default 32).
 
 ``-i`` evaluates one stdin line at a time (blank and ``#`` lines skipped),
 reports a failed line on stderr as ``error: ...`` and goes on; it exits 0
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from . import aleph as aleph_mod
 from . import calculus, functions, parser, rational
-from .errors import IndistinguishableAtTruncation, OmegaError, UnknownName
+from .errors import DomainError, IndistinguishableAtTruncation, OmegaError, UnknownName
 from .omega import (
     DEFAULT_ORDER,
     ExtendedOmega,
@@ -76,25 +77,20 @@ def evaluate(node, order: int):
         return ExtendedOmega.epsilon()
     if isinstance(node, Neg):
         value = evaluate(node.operand, order)
-        if isinstance(value, ExtendedOmega):
-            return ExtendedOmega(-value.prefix, value.position, -value.sign)
-        _require_number(value)
+        if not isinstance(value, ExtendedOmega):
+            _require_number(value)
         return -value
     if isinstance(node, BinOp):
         return _eval_binop(node, order)
     if isinstance(node, Pow):
-        base = evaluate(node.base, order)
-        _require_number(base)
-        return base.pow_rational(node.exponent, order=order)
+        return _number(node.base, order).pow_rational(node.exponent, order=order)
     if isinstance(node, (FuncRef, PolyFunc, IntForm)):
         return _eval_func(node, order)
     if isinstance(node, DiffForm):
         return _PendingDiff(node.kind, node.order, _eval_func(node.func, order))
     if isinstance(node, SolveForm):
         F = _eval_func(node.func, order)
-        target = evaluate(node.target, order)
-        _require_number(target)
-        return functions.solve_lift(F, target, node.seed, order=order)
+        return functions.solve_lift(F, _number(node.target, order), node.seed, order=order)
     if isinstance(node, Apply):
         return _eval_apply(node, order)
     raise OmegaError(f"cannot evaluate node {node!r}")
@@ -105,6 +101,13 @@ def _require_number(value):
         raise OmegaError("extended numbers support comparison only")
     if not isinstance(value, OmegaNumber):
         raise OmegaError("a function value appears where a number is needed")
+
+
+def _number(node, order: int) -> OmegaNumber:
+    """Evaluate a node that must give a plain number."""
+    value = evaluate(node, order)
+    _require_number(value)
+    return value
 
 
 def _eval_binop(node: BinOp, order: int):
@@ -131,12 +134,7 @@ def _eval_extended_binop(op: str, lhs, rhs):
         if isinstance(lhs, ExtendedOmega) and isinstance(rhs, OmegaNumber):
             ext, fin = lhs, rhs if op == "+" else -rhs
         elif isinstance(rhs, ExtendedOmega) and isinstance(lhs, OmegaNumber):
-            ext = (
-                rhs
-                if op == "+"
-                else ExtendedOmega(-rhs.prefix, rhs.position, -rhs.sign)
-            )
-            fin = lhs
+            ext, fin = rhs if op == "+" else -rhs, lhs
         else:
             raise OmegaError("extended numbers support comparison only")
         return ExtendedOmega(ext.prefix + fin, ext.position, ext.sign)
@@ -165,41 +163,42 @@ def _eval_func(node, order: int) -> functions.RegularFunction:
             raise UnknownName(f"unknown function {node.name!r}")
         return functions.builtin(node.name)
     if isinstance(node, PolyFunc):
-        coeffs = []
-        for c in node.coeffs:
-            v = evaluate(c, order)
-            _require_number(v)
-            coeffs.append(v)
-        return functions.RegularFunction.polynomial(coeffs)
+        return functions.RegularFunction.polynomial([_number(c, order) for c in node.coeffs])
     if isinstance(node, IntForm):
         F = _eval_func(node.func, order)
-        inits = []
-        for c in node.inits:
-            v = evaluate(c, order)
-            _require_number(v)
-            inits.append(v)
-        if node.order == 1:
-            if len(inits) > 1:
-                raise OmegaError("first-order summation takes one initial value")
-            a0 = inits[0] if inits else OmegaNumber.zero()
-            return calculus.integrate(F, a0, order=order)
-        if len(inits) > node.order:
-            raise OmegaError("more initial conditions than the system order")
-        while len(inits) < node.order:
-            inits.append(OmegaNumber.zero())
-        return calculus.solve_ode(F, node.order, inits, order=order)
+        return _summation(F, node.order, [_number(c, order) for c in node.inits], order)
     raise OmegaError(f"not a function form: {node!r}")
+
+
+def _summation(F: functions.RegularFunction, p: int, inits: list, order: int):
+    """The p-fold summation of F with initial values ``inits`` (missing ones are 0)."""
+    if len(inits) > p:
+        raise OmegaError("more initial conditions than the system order")
+    if p < 1:
+        raise DomainError("the system order must be at least 1")
+    inits = inits + [OmegaNumber.zero()] * (p - len(inits))
+    if p == 1:
+        return calculus.integrate(F, inits[0], order=order)
+    if F.base_point != 0:
+        raise DomainError("order-p systems are posed at base point 0")
+    return calculus.solve_ode(F, p, inits, order=order)
+
+
+def _difference(kind: str, F: functions.RegularFunction, at: OmegaNumber, p: int, order: int):
+    """D^p F (kind "D") or d^p F (kind "d") at the point ``at``."""
+    if p < 0:
+        raise DomainError("the difference order must be nonnegative")
+    u = at - OmegaNumber.from_rational(F.base_point)
+    if kind == "D":
+        return calculus.finite_difference(F, u, p, order=order)
+    return calculus.leibniz_differential(F, u, p, order=order)
 
 
 def _eval_apply(node: Apply, order: int):
     head = evaluate(node.func, order)
-    arg = evaluate(node.arg, order)
-    _require_number(arg)
+    arg = _number(node.arg, order)
     if isinstance(head, _PendingDiff):
-        u = arg - OmegaNumber.from_rational(head.func.base_point)
-        if head.kind == "D":
-            return calculus.finite_difference(head.func, u, head.order, order=order)
-        return calculus.leibniz_differential(head.func, u, head.order, order=order)
+        return _difference(head.kind, head.func, arg, head.order, order)
     if isinstance(head, functions.RegularFunction):
         u = arg - OmegaNumber.from_rational(head.base_point)
         return head.eval(u, order=order)
@@ -340,17 +339,24 @@ def _parse_func_arg(text: str, order: int) -> functions.RegularFunction:
     return value
 
 
+def _rational_arg(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"{flag} must be a rational number, got {text!r}") from None
+
+
+def _print_expr(text: str, order, mode, out) -> int:
+    print(format_value(evaluate(parser.parse(text), order), mode, order), file=out)
+    return 0
+
+
 def _cmd_eval(args, order, mode, out) -> int:
-    if args.expr == "-":
-        for line in sys.stdin:
-            line = line.strip()
-            if not line:
-                continue
-            value = evaluate(parser.parse(line), order)
-            print(format_value(value, mode, order), file=out)
-        return 0
-    value = evaluate(parser.parse(args.expr), order)
-    print(format_value(value, mode, order), file=out)
+    if args.expr != "-":
+        return _print_expr(args.expr, order, mode, out)
+    for line in sys.stdin:
+        if line.strip():
+            _print_expr(line.strip(), order, mode, out)
     return 0
 
 
@@ -372,29 +378,22 @@ def _cmd_table(args, order, mode, out) -> int:
 
 def _cmd_diff(args, order, mode, out) -> int:
     F = _parse_func_arg(args.func, order)
-    at = evaluate(parser.parse(args.at), order)
-    _require_number(at)
-    u = at - OmegaNumber.from_rational(F.base_point)
-    if args.leibniz:
-        value = calculus.leibniz_differential(F, u, args.p, order=order)
-    else:
-        value = calculus.finite_difference(F, u, args.p, order=order)
+    at = _number(parser.parse(args.at), order)
+    value = _difference("d" if args.leibniz else "D", F, at, args.p, order)
     print(format_value(value, mode, order), file=out)
     return 0
 
 
 def _cmd_sum(args, order, mode, out) -> int:
     F = _parse_func_arg(args.func, order)
-    a0 = evaluate(parser.parse(args.a0), order)
-    _require_number(a0)
-    G = calculus.integrate(F, a0, order=order)
+    G = _summation(F, 1, [_number(parser.parse(args.a0), order)], order)
     print(format_value(G, mode, order), file=out)
     return 0
 
 
 def _cmd_bsum(args, order, mode, out) -> int:
     F = _parse_func_arg(args.func, order)
-    t = Fraction(getattr(args, "from"))
+    t = _rational_arg(getattr(args, "from"), "--from")
     value = calculus.brute_sum(F, t, args.steps, order=order)
     print(format_value(value, mode, order), file=out)
     return 0
@@ -402,25 +401,16 @@ def _cmd_bsum(args, order, mode, out) -> int:
 
 def _cmd_ode(args, order, mode, out) -> int:
     F = _parse_func_arg(args.func, order)
-    inits = []
-    for text in args.init or []:
-        v = evaluate(parser.parse(text), order)
-        _require_number(v)
-        inits.append(v)
-    if len(inits) > args.p:
-        raise OmegaError("more initial conditions than the system order")
-    while len(inits) < args.p:
-        inits.append(OmegaNumber.zero())
-    G = calculus.solve_ode(F, args.p, inits, order=order)
+    inits = [_number(parser.parse(text), order) for text in args.init or []]
+    G = _summation(F, args.p, inits, order)
     print(format_value(G, mode, order), file=out)
     return 0
 
 
 def _cmd_lift(args, order, mode, out) -> int:
     F = _parse_func_arg(args.func, order)
-    y = evaluate(parser.parse(args.target), order)
-    _require_number(y)
-    value = functions.solve_lift(F, y, Fraction(args.seed), order=order)
+    y = _number(parser.parse(args.target), order)
+    value = functions.solve_lift(F, y, _rational_arg(args.seed, "--seed"), order=order)
     print(format_value(value, mode, order), file=out)
     return 0
 
@@ -432,38 +422,21 @@ def _cmd_expand(args, order, mode, out) -> int:
     return 0
 
 
-def _aleph_arg(text: str, order: int) -> aleph_mod.AlephInt:
-    value = evaluate(parser.parse(text), order)
-    _require_number(value)
-    return aleph_mod.aleph_from_omega(value)
-
-
 def _cmd_aleph(args, order, mode, out) -> int:
-    op = args.op
-    if op == "succ":
-        result = aleph_mod.successor(_aleph_arg(args.args[0], order))
-    elif op == "pred":
-        result = aleph_mod.predecessor(_aleph_arg(args.args[0], order))
-    elif op == "add":
-        result = aleph_mod.oplus(
-            _aleph_arg(args.args[0], order), _aleph_arg(args.args[1], order)
-        )
-    elif op == "mul":
-        result = aleph_mod.odiamond(
-            _aleph_arg(args.args[0], order), _aleph_arg(args.args[1], order)
-        )
-    elif op == "div":
-        b = evaluate(parser.parse(args.args[0]), order)
-        a = evaluate(parser.parse(args.args[1]), order)
-        _require_number(a)
-        _require_number(b)
+    op, texts = args.op, args.args
+    arity = 2 if op in ("add", "mul", "div") else 1
+    if len(texts) != arity:
+        raise OmegaError(f"aleph {op} takes {arity} argument(s), got {len(texts)}")
+    if op == "div":
+        b, a = (_number(parser.parse(text), order) for text in texts)
         result = aleph_mod.archimedean_division(a, b, order=order)
-    elif op == "member":
-        value = _aleph_arg(args.args[0], order)
-        print("true" if value.in_aleph_plus() else "false", file=out)
-        return 0
     else:
-        raise OmegaError(f"unknown aleph operation {op!r}")
+        L = [aleph_mod.aleph_from_omega(_number(parser.parse(text), order)) for text in texts]
+        if op == "member":
+            print("true" if L[0].in_aleph_plus() else "false", file=out)
+            return 0
+        result = {"succ": aleph_mod.successor, "pred": aleph_mod.predecessor,
+                  "add": aleph_mod.oplus, "mul": aleph_mod.odiamond}[op](*L)
     print(format_value(result, mode, order), file=out)
     return 0
 
@@ -583,18 +556,27 @@ def _max_order() -> int | None:
     return cap if cap >= 0 else None
 
 
+def _report(run) -> int:
+    """Call run(); a failure prints one ``error:`` line and gives its exit code."""
+    try:
+        return run()
+    except ParseError as exc:
+        code, message = 1, str(exc)
+    except IndistinguishableAtTruncation as exc:
+        code, message = 3, f"undecidable at this order: {exc}"
+    except OmegaError as exc:
+        code, message = 2, str(exc)
+    except RecursionError:
+        code, message = 2, "expression nested too deeply"
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def _repl(order: int, mode: str, out) -> int:
     for line in sys.stdin:
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            value = evaluate(parser.parse(line), order)
-            print(format_value(value, mode, order), file=out)
-        except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-        except OmegaError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        if line and not line.startswith("#"):
+            _report(lambda: _print_expr(line, order, mode, out))
     return 0
 
 
@@ -622,17 +604,7 @@ def main(argv=None, out=None) -> int:
     if args.command is None:
         top.print_usage(sys.stderr)
         return 2
-    try:
-        return _COMMANDS[args.command](args, order, mode, out)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except IndistinguishableAtTruncation as exc:
-        print(f"error: undecidable at this order: {exc}", file=sys.stderr)
-        return 3
-    except OmegaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return _report(lambda: _COMMANDS[args.command](args, order, mode, out))
 
 
 def entrypoint():  # console-script shim

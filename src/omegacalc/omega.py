@@ -583,6 +583,9 @@ class ExtendedOmega:
             return value
         return ExtendedOmega(value)
 
+    def __neg__(self) -> "ExtendedOmega":
+        return ExtendedOmega(-self.prefix, self.position, -self.sign)
+
     def __str__(self) -> str:
         return render_plain(self)
 

@@ -236,6 +236,8 @@ class _Parser:
             d = self.peek()
             if d.kind != "int":
                 self.fail("integer")
+            if int(d.text) == 0:
+                self.fail("nonzero integer")
             self.next()
             den = int(d.text)
         value = Fraction(num, den)

@@ -3,10 +3,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from omegacalc.aleph import (
     AlephInt,
     GridPoint,
+    _sign_of_tail,
     aleph_from_omega,
     archimedean_division,
     compare_aleph,
@@ -243,3 +246,135 @@ class TestConversions:
         assert not AlephInt.from_coeffs([0, -1]).in_aleph_plus()
         assert not AlephInt.from_int(-1).in_aleph_plus()
         assert ZERO.in_aleph_plus()
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the coefficient-row arithmetic AlephInt had before it became a
+# view of one exact OmegaNumber.  A row's entry k is the S^k coefficient.
+# ---------------------------------------------------------------------------
+
+
+def _strip(row) -> tuple:
+    row = [F(c) for c in row]
+    while len(row) > 1 and row[-1] == 0:
+        row.pop()
+    return tuple(row) or (F(0),)
+
+
+def oracle_add(a, b) -> tuple:
+    n = max(len(a), len(b))
+    return _strip([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
+                   for k in range(n)])
+
+
+def oracle_neg(a) -> tuple:
+    return _strip([-c for c in a])
+
+
+def oracle_mul(a, b) -> tuple:
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _strip(out)
+
+
+def oracle_compare(a, b) -> int:
+    n = max(len(a), len(b))
+    for k in range(n - 1, -1, -1):
+        x = a[k] if k < len(a) else F(0)
+        y = b[k] if k < len(b) else F(0)
+        if x != y:
+            return 1 if x > y else -1
+    return 0
+
+
+def oracle_in_aleph_plus(a) -> bool:
+    return a[-1] > 0 if len(a) > 1 else a[0] >= 0
+
+
+def oracle_integer_truncature(x: OmegaNumber) -> tuple:
+    if x.known_order is not None and x.known_order < 0:
+        raise IndistinguishableAtTruncation("constant coefficient is unknown")
+    c0 = x.coefficient(0)
+    if c0.denominator == 1:
+        d0 = c0 + _sign_of_tail(x)
+    else:
+        d0 = F(c0.numerator // c0.denominator)
+    coeffs = {-e: c for e, c in x.terms() if e < 0}
+    n = max(coeffs) if coeffs else 0
+    return _strip([d0 if k == 0 else coeffs.get(k, F(0)) for k in range(n + 1)])
+
+
+def s_rows():
+    """Rows of S-polynomials of degree 0 to 5; zeros, negatives and trailing
+    zeros included."""
+    return st.builds(
+        lambda c0, rest: (F(c0), *rest),
+        st.integers(-20, 20),
+        st.lists(st.fractions(min_value=-10, max_value=10, max_denominator=6), max_size=5),
+    )
+
+
+class TestAgainstRowOracles:
+    @settings(max_examples=200)
+    @given(s_rows(), s_rows())
+    @example((F(0),), (F(0),))
+    @example((F(3), F(0), F(-1, 2)), (F(-3), F(0), F(1, 2)))
+    def test_ring_order_and_shape(self, a, b):
+        L, M = AlephInt.from_coeffs(a), AlephInt.from_coeffs(b)
+        ra, rb = _strip(a), _strip(b)
+        assert L.coeffs == ra
+        assert all(type(c) is F for c in L.coeffs)
+        assert L.degree == len(ra) - 1
+        assert L.in_aleph_plus() == oracle_in_aleph_plus(ra)
+        assert (L + M).coeffs == oracle_add(ra, rb)
+        assert (L - M).coeffs == oracle_add(ra, oracle_neg(rb))
+        assert (-L).coeffs == oracle_neg(ra)
+        assert (L * M).coeffs == oracle_mul(ra, rb)
+        assert (L + 3).coeffs == oracle_add(ra, (F(3),))
+        assert compare_aleph(L, M) == oracle_compare(ra, rb)
+
+    @settings(max_examples=200)
+    @given(
+        st.dictionaries(st.integers(-3, 5),
+                        st.fractions(min_value=-10, max_value=10, max_denominator=3),
+                        max_size=6),
+        st.none() | st.integers(-2, 6),
+    )
+    @example({0: F(2)}, 3)
+    @example({-1: F(1, 2), 0: F(2), 2: F(-1)}, None)
+    def test_integer_truncature(self, terms, known_order):
+        x = OmegaNumber.from_terms(terms, known_order)
+        try:
+            expected = oracle_integer_truncature(x)
+        except IndistinguishableAtTruncation:
+            with pytest.raises(IndistinguishableAtTruncation):
+                integer_truncature(x)
+            return
+        got = integer_truncature(x)
+        assert got.coeffs == expected
+        assert got.value.is_exact()
+
+
+class TestValidation:
+    @pytest.mark.parametrize("x,message", [
+        (OmegaNumber.from_terms({0: 1}, known_order=3), "nonstandard integers are exact values"),
+        (OmegaNumber.from_terms({-1: 1, 1: 1}), "value has a nonzero o-part"),
+        (OmegaNumber.from_terms({0: F(1, 2)}), "constant term is not an integer"),
+    ])
+    def test_aleph_from_omega_messages(self, x, message):
+        with pytest.raises(OutOfDomain) as err:
+            aleph_from_omega(x)
+        assert str(err.value) == message
+
+    def test_fractional_constant_from_coeffs(self):
+        # One validation point: the constructor raises what aleph_from_omega does.
+        with pytest.raises(OutOfDomain, match="constant term is not an integer"):
+            AlephInt.from_coeffs([F(1, 2)])
+
+    def test_value_is_the_exact_omega_number(self):
+        L = AlephInt.from_coeffs([3, 0, F(1, 2)])
+        assert L.value == OmegaNumber.from_terms({0: 3, -2: F(1, 2)})
+        assert L.to_omega() is L.value
+        assert aleph_from_omega(L.value) == L

@@ -208,6 +208,10 @@ ERROR_GOLDEN = [
     (["eval", "nosuch(o)"], None, 2),
     (["eval", "eps+eps"], None, 2),
     (["eval", "exp(1)"], None, 2),
+    (["eval", "(1+o)^(1/0)"],
+     "error: parse error at offset 9: expected nonzero integer; found '0'\n", 1),
+    (["eval", "solve[exp=1;1/0]"],
+     "error: parse error at offset 14: expected nonzero integer; found '0'\n", 1),
 ]
 
 
@@ -291,6 +295,47 @@ class TestRepl:
         assert code == 0
         assert out == "4\n"
         assert "parse error" in capsys.readouterr().err
+
+    def test_repl_continues_after_a_domain_error(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("int^0[exp](o)\n1+o\n"))
+        code, out = run_cli(["-i"])
+        assert code == 0
+        assert out == "1 + o\n"
+        assert capsys.readouterr().err == "error: the system order must be at least 1\n"
+
+
+class TestNoTraceback:
+    """Bad arguments print one error line and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["ode", "log", "--p", "2"],
+        ["eval", "int^2[log](1+o)"],
+        ["ode", "exp", "--p", "0"],
+        ["eval", "int^0[exp](o)"],
+        ["diff", "exp", "--p", "-1"],
+        ["lift", "exp", "--target", "1+o", "--seed", "1/0"],
+        ["lift", "exp", "--target", "1+o", "--seed", "abc"],
+        ["bsum", "exp", "--from", "x", "--steps", "2"],
+        ["aleph", "add", "S"],
+        ["eval", "1" + "+1" * 3000],
+    ], ids=lambda argv: " ".join(argv)[:40])
+    def test_one_error_line(self, argv, capsys):
+        code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestOneSummation:
+    """``ode F --p 1`` and ``sum F`` are the same first-order summation."""
+
+    @pytest.mark.parametrize("func,c", [("exp", "2"), ("log", "1/3"),
+                                        ("poly[1, -2, 1/2]", "S + o")])
+    @pytest.mark.parametrize("flags", [[], ["--order", "5", "--format", "json"]])
+    def test_ode_p1_prints_sum(self, func, c, flags):
+        ode = run_cli(["ode", func, "--p", "1", "--init", c] + flags)
+        assert ode == run_cli(["sum", func, "--a0", c] + flags)
+        assert ode[0] == 0
 
 
 class TestOrderCap:

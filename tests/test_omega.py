@@ -674,6 +674,13 @@ class TestExtended:
         with pytest.raises(DomainError):
             ExtendedOmega(OmegaNumber.from_terms({1: 2}), 1, 1)
 
+    def test_negation_mirrors_the_cut(self):
+        t = OmegaNumber.from_rational(3)
+        assert -ExtendedOmega(t, 1, 1) == ExtendedOmega(-t, 1, -1)
+        assert -ExtendedOmega(t) == ExtendedOmega(-t)
+        for x in (t - O, t, t + O):
+            assert compare_extended(-ExtendedOmega(t, 1, -1), -x) == GREATER
+
 
 class TestCauchyLimit:
     def test_constant_sequence(self):
