@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import IndexOutOfRange, NotInfinitesimal
+from .errors import DomainError, IndexOutOfRange, NotInfinitesimal
 from .functions import RegularFunction, _as_omega, derivative
 from .omega import DEFAULT_ORDER, OmegaNumber, Rational, _frac, _min_order
 
@@ -153,7 +153,7 @@ def finite_difference(
 ) -> OmegaNumber:
     """p-th step-o difference at base_point + x (alternating-sum form)."""
     if p < 0:
-        raise ValueError("difference order must be nonnegative")
+        raise DomainError("the difference order must be nonnegative")
     x = _as_omega(x)
     o = OmegaNumber.o()
     total = OmegaNumber.zero()
@@ -171,7 +171,7 @@ def leibniz_differential(
 ) -> OmegaNumber:
     """F^(n)(base_point + x) * o^n."""
     if n < 0:
-        raise ValueError("differential order must be nonnegative")
+        raise DomainError("the difference order must be nonnegative")
     return derivative(F, n).eval(x, order=order) * OmegaNumber.o(n)
 
 
@@ -293,9 +293,9 @@ def brute_sum_iterated(
     the additions merely reassociated.
     """
     if k < 0:
-        raise ValueError("iterated grid sums are taken on the forward grid")
+        raise DomainError("iterated grid sums are taken on the forward grid")
     if p < 1:
-        raise ValueError("nesting depth must be >= 1")
+        raise DomainError("nesting depth must be >= 1")
     o = OmegaNumber.o()
     values = [F.eval(o * n, order=order) for n in range(k)]
     for _ in range(p):
@@ -332,11 +332,11 @@ def solve_ode(
     the initial conditions.
     """
     if p < 1:
-        raise ValueError("system order must be >= 1")
+        raise DomainError("the system order must be at least 1")
     if len(C) != p:
-        raise ValueError(f"need exactly {p} initial conditions")
+        raise DomainError(f"need exactly {p} initial conditions")
     if F.base_point != 0:
-        raise ValueError("order-p systems are posed at base point 0")
+        raise DomainError("order-p systems are posed at base point 0")
 
     sp_part = RegularFunction(
         _p_fold_sum(F, p, order, OmegaNumber.zero()), name=f"S^{p}[{F.name}]",

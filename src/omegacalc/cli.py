@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 parse error (and nothing else), 2 math error
 or bad argument, 3 comparison or floor undecidable at the working
 truncation order.  Every error is one ``error: ...`` line on stderr,
-never a traceback, and no partial result is printed.  The working
+never a traceback, and no partial result is printed: ``eval -``
+evaluates every stdin line before it prints any.  The working
 order is the per-call ``--order`` flag (default 8), capped by the
 OMEGA_MAX_ORDER environment variable (default 32).
 
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from . import aleph as aleph_mod
 from . import calculus, functions, parser, rational
-from .errors import DomainError, IndistinguishableAtTruncation, OmegaError, UnknownName
+from .errors import DomainError, IndistinguishableAtTruncation, OmegaError
 from .omega import (
     DEFAULT_ORDER,
     ExtendedOmega,
@@ -46,18 +47,7 @@ from .parser import (
     Sym,
 )
 
-_BUILTIN_NAMES = ("exp", "sin", "cos", "log", "geometric")
-
 _ORDERING_WORDS = {-1: "Less", 0: "Equal", 1: "Greater"}
-
-
-class _PendingDiff:
-    """A D^p[f] / d^n[f] form waiting for its evaluation point."""
-
-    def __init__(self, kind: str, order: int, func: functions.RegularFunction):
-        self.kind = kind
-        self.order = order
-        self.func = func
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +77,8 @@ def evaluate(node, order: int):
     if isinstance(node, (FuncRef, PolyFunc, IntForm)):
         return _eval_func(node, order)
     if isinstance(node, DiffForm):
-        return _PendingDiff(node.kind, node.order, _eval_func(node.func, order))
+        _eval_func(node.func, order)  # the function's own errors come first
+        raise OmegaError("an operator form must be applied to a point")
     if isinstance(node, SolveForm):
         F = _eval_func(node.func, order)
         return functions.solve_lift(F, _number(node.target, order), node.seed, order=order)
@@ -111,17 +102,28 @@ def _number(node, order: int) -> OmegaNumber:
 
 
 def _eval_binop(node: BinOp, order: int):
-    lhs = evaluate(node.left, order)
-    rhs = evaluate(node.right, order)
+    # A loop down the left spine: a long chain like 1+1+...+1 is a deep
+    # left-nested tree, which recursion would take two frames per term for.
+    spine = []
+    while isinstance(node, BinOp):
+        spine.append(node)
+        node = node.left
+    value = evaluate(node, order)
+    for binop in reversed(spine):
+        value = _apply_binop(binop.op, value, evaluate(binop.right, order), order)
+    return value
+
+
+def _apply_binop(op: str, lhs, rhs, order: int):
     if isinstance(lhs, ExtendedOmega) or isinstance(rhs, ExtendedOmega):
-        return _eval_extended_binop(node.op, lhs, rhs)
+        return _eval_extended_binop(op, lhs, rhs)
     _require_number(lhs)
     _require_number(rhs)
-    if node.op == "+":
+    if op == "+":
         return lhs + rhs
-    if node.op == "-":
+    if op == "-":
         return lhs - rhs
-    if node.op == "*":
+    if op == "*":
         return lhs * rhs
     return lhs * rhs.invert(order=order)
 
@@ -159,8 +161,6 @@ def _eval_extended_binop(op: str, lhs, rhs):
 
 def _eval_func(node, order: int) -> functions.RegularFunction:
     if isinstance(node, FuncRef):
-        if node.name not in _BUILTIN_NAMES:
-            raise UnknownName(f"unknown function {node.name!r}")
         return functions.builtin(node.name)
     if isinstance(node, PolyFunc):
         return functions.RegularFunction.polynomial([_number(c, order) for c in node.coeffs])
@@ -174,20 +174,14 @@ def _summation(F: functions.RegularFunction, p: int, inits: list, order: int):
     """The p-fold summation of F with initial values ``inits`` (missing ones are 0)."""
     if len(inits) > p:
         raise OmegaError("more initial conditions than the system order")
-    if p < 1:
-        raise DomainError("the system order must be at least 1")
     inits = inits + [OmegaNumber.zero()] * (p - len(inits))
     if p == 1:
         return calculus.integrate(F, inits[0], order=order)
-    if F.base_point != 0:
-        raise DomainError("order-p systems are posed at base point 0")
     return calculus.solve_ode(F, p, inits, order=order)
 
 
 def _difference(kind: str, F: functions.RegularFunction, at: OmegaNumber, p: int, order: int):
     """D^p F (kind "D") or d^p F (kind "d") at the point ``at``."""
-    if p < 0:
-        raise DomainError("the difference order must be nonnegative")
     u = at - OmegaNumber.from_rational(F.base_point)
     if kind == "D":
         return calculus.finite_difference(F, u, p, order=order)
@@ -195,10 +189,12 @@ def _difference(kind: str, F: functions.RegularFunction, at: OmegaNumber, p: int
 
 
 def _eval_apply(node: Apply, order: int):
-    head = evaluate(node.func, order)
+    form = node.func
+    if isinstance(form, DiffForm):
+        F = _eval_func(form.func, order)
+        return _difference(form.kind, F, _number(node.arg, order), form.order, order)
+    head = evaluate(form, order)
     arg = _number(node.arg, order)
-    if isinstance(head, _PendingDiff):
-        return _difference(head.kind, head.func, arg, head.order, order)
     if isinstance(head, functions.RegularFunction):
         u = arg - OmegaNumber.from_rational(head.base_point)
         return head.eval(u, order=order)
@@ -257,8 +253,6 @@ def format_value(value, mode: str, order: int) -> str:
             return json.dumps(payload)
         lines = [f"a_{n} = {render_plain(value.coeff(n))}" for n in range(top + 1)]
         return "\n".join(lines)
-    if isinstance(value, _PendingDiff):
-        raise OmegaError("an operator form must be applied to a point")
     raise OmegaError(f"cannot format {value!r}")
 
 
@@ -346,83 +340,67 @@ def _rational_arg(text: str, flag: str) -> Fraction:
         raise DomainError(f"{flag} must be a rational number, got {text!r}") from None
 
 
-def _print_expr(text: str, order, mode, out) -> int:
-    print(format_value(evaluate(parser.parse(text), order), mode, order), file=out)
-    return 0
+def _value_line(text: str, order, mode) -> str:
+    return format_value(evaluate(parser.parse(text), order), mode, order)
 
 
-def _cmd_eval(args, order, mode, out) -> int:
+def _cmd_eval(args, order, mode) -> list[str]:
     if args.expr != "-":
-        return _print_expr(args.expr, order, mode, out)
-    for line in sys.stdin:
-        if line.strip():
-            _print_expr(line.strip(), order, mode, out)
-    return 0
+        return [_value_line(args.expr, order, mode)]
+    return [_value_line(line.strip(), order, mode) for line in sys.stdin if line.strip()]
 
 
-def _cmd_cmp(args, order, mode, out) -> int:
+def _cmd_cmp(args, order, mode) -> list[str]:
     lhs = evaluate(parser.parse(args.left), order)
     rhs = evaluate(parser.parse(args.right), order)
     for v in (lhs, rhs):
         if not isinstance(v, (OmegaNumber, ExtendedOmega)):
             raise OmegaError("cmp takes two numbers")
-    result = compare_extended(lhs, rhs)
-    print(_ORDERING_WORDS[result], file=out)
-    return 0
+    return [_ORDERING_WORDS[compare_extended(lhs, rhs)]]
 
 
-def _cmd_table(args, order, mode, out) -> int:
-    print(table_text(args.name, args.max, args.p), file=out)
-    return 0
+def _cmd_table(args, order, mode) -> list[str]:
+    return [table_text(args.name, args.max, args.p)]
 
 
-def _cmd_diff(args, order, mode, out) -> int:
+def _cmd_diff(args, order, mode) -> list[str]:
     F = _parse_func_arg(args.func, order)
     at = _number(parser.parse(args.at), order)
     value = _difference("d" if args.leibniz else "D", F, at, args.p, order)
-    print(format_value(value, mode, order), file=out)
-    return 0
+    return [format_value(value, mode, order)]
 
 
-def _cmd_sum(args, order, mode, out) -> int:
+def _cmd_sum(args, order, mode) -> list[str]:
     F = _parse_func_arg(args.func, order)
     G = _summation(F, 1, [_number(parser.parse(args.a0), order)], order)
-    print(format_value(G, mode, order), file=out)
-    return 0
+    return [format_value(G, mode, order)]
 
 
-def _cmd_bsum(args, order, mode, out) -> int:
+def _cmd_bsum(args, order, mode) -> list[str]:
     F = _parse_func_arg(args.func, order)
     t = _rational_arg(getattr(args, "from"), "--from")
-    value = calculus.brute_sum(F, t, args.steps, order=order)
-    print(format_value(value, mode, order), file=out)
-    return 0
+    return [format_value(calculus.brute_sum(F, t, args.steps, order=order), mode, order)]
 
 
-def _cmd_ode(args, order, mode, out) -> int:
+def _cmd_ode(args, order, mode) -> list[str]:
     F = _parse_func_arg(args.func, order)
     inits = [_number(parser.parse(text), order) for text in args.init or []]
-    G = _summation(F, args.p, inits, order)
-    print(format_value(G, mode, order), file=out)
-    return 0
+    return [format_value(_summation(F, args.p, inits, order), mode, order)]
 
 
-def _cmd_lift(args, order, mode, out) -> int:
+def _cmd_lift(args, order, mode) -> list[str]:
     F = _parse_func_arg(args.func, order)
     y = _number(parser.parse(args.target), order)
     value = functions.solve_lift(F, y, _rational_arg(args.seed, "--seed"), order=order)
-    print(format_value(value, mode, order), file=out)
-    return 0
+    return [format_value(value, mode, order)]
 
 
-def _cmd_expand(args, order, mode, out) -> int:
+def _cmd_expand(args, order, mode) -> list[str]:
     rf = evaluate_rational(parser.parse(args.expr))
-    value = rational.expand(rf, order=order)
-    print(format_value(value, mode, order), file=out)
-    return 0
+    return [format_value(rational.expand(rf, order=order), mode, order)]
 
 
-def _cmd_aleph(args, order, mode, out) -> int:
+def _cmd_aleph(args, order, mode) -> list[str]:
     op, texts = args.op, args.args
     arity = 2 if op in ("add", "mul", "div") else 1
     if len(texts) != arity:
@@ -433,22 +411,20 @@ def _cmd_aleph(args, order, mode, out) -> int:
     else:
         L = [aleph_mod.aleph_from_omega(_number(parser.parse(text), order)) for text in texts]
         if op == "member":
-            print("true" if L[0].in_aleph_plus() else "false", file=out)
-            return 0
+            return ["true" if L[0].in_aleph_plus() else "false"]
         result = {"succ": aleph_mod.successor, "pred": aleph_mod.predecessor,
                   "add": aleph_mod.oplus, "mul": aleph_mod.odiamond}[op](*L)
-    print(format_value(result, mode, order), file=out)
-    return 0
+    return [format_value(result, mode, order)]
 
 
-def _cmd_demo(args, order, mode, out) -> int:
+def _cmd_demo(args, order, mode) -> list[str]:
     if args.name != "leibniz-pi":
         raise OmegaError(f"unknown demo {args.name!r}")
-    total = Fraction(0)
+    total, lines = Fraction(0), []
     for k in range(args.terms):
         total += Fraction((-1) ** k, 2 * k + 1)
-        print(total, file=out)
-    return 0
+        lines.append(str(total))
+    return lines
 
 
 _COMMANDS = {
@@ -556,10 +532,15 @@ def _max_order() -> int | None:
     return cap if cap >= 0 else None
 
 
-def _report(run) -> int:
-    """Call run(); a failure prints one ``error:`` line and gives its exit code."""
+def _report(run, out) -> int:
+    """Call run() for a command's output lines and print them on ``out``.
+
+    The lines are printed only once run() has returned, so a failure
+    prints nothing on ``out``: it prints one ``error:`` line on stderr
+    and gives the failure's exit code.
+    """
     try:
-        return run()
+        lines = run()
     except ParseError as exc:
         code, message = 1, str(exc)
     except IndistinguishableAtTruncation as exc:
@@ -568,6 +549,10 @@ def _report(run) -> int:
         code, message = 2, str(exc)
     except RecursionError:
         code, message = 2, "expression nested too deeply"
+    else:
+        for line in lines:
+            print(line, file=out)
+        return 0
     print(f"error: {message}", file=sys.stderr)
     return code
 
@@ -576,7 +561,7 @@ def _repl(order: int, mode: str, out) -> int:
     for line in sys.stdin:
         line = line.strip()
         if line and not line.startswith("#"):
-            _report(lambda: _print_expr(line, order, mode, out))
+            _report(lambda: [_value_line(line, order, mode)], out)
     return 0
 
 
@@ -604,7 +589,7 @@ def main(argv=None, out=None) -> int:
     if args.command is None:
         top.print_usage(sys.stderr)
         return 2
-    return _report(lambda: _COMMANDS[args.command](args, order, mode, out))
+    return _report(lambda: _COMMANDS[args.command](args, order, mode), out)
 
 
 def entrypoint():  # console-script shim

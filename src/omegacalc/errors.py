@@ -54,7 +54,8 @@ class NotInfinitesimal(OmegaError):
 
 
 class UnsupportedBasePoint(OmegaError):
-    """Named function has no exact rational coefficient stream there."""
+    """Named function has no exact rational coefficient stream there,
+    or no builtin has that name."""
 
 
 class SingularDerivative(OmegaError):
@@ -67,7 +68,3 @@ class SeedMismatch(OmegaError):
 
 class IndexOutOfRange(OmegaError):
     """Coefficient-table index outside the table's domain."""
-
-
-class UnknownName(OmegaError):
-    """Reference to a function name with no registered meaning."""

@@ -110,7 +110,7 @@ class RegularFunction:
 
     def coeff(self, n: int) -> OmegaNumber:
         if n < 0:
-            raise ValueError("coefficient index must be nonnegative")
+            raise DomainError("coefficient index must be nonnegative")
         if self.degree is not None and n > self.degree:
             return OmegaNumber.zero()
         # No lock: a stream may read its own earlier coefficients, and
@@ -150,7 +150,7 @@ class RegularFunction:
 
     def _require_same_base(self, other: "RegularFunction"):
         if self.base_point != other.base_point:
-            raise ValueError("functions have different base points")
+            raise DomainError("functions have different base points")
 
     def __add__(self, other: "RegularFunction") -> "RegularFunction":
         self._require_same_base(other)
@@ -195,7 +195,7 @@ class RegularFunction:
 def derivative(F: RegularFunction, q: int = 1) -> RegularFunction:
     """q-th derivative with respect to the standard part of the argument."""
     if q < 0:
-        raise ValueError("derivative order must be nonnegative")
+        raise DomainError("derivative order must be nonnegative")
     if q == 0:
         return F
     degree = None if F.degree is None else max(F.degree - q, 0)
@@ -310,7 +310,7 @@ def builtin(
         return RegularFunction(
             coeff, base_point=t, name=f"pow_{a}", radius=t,
         )
-    raise UnsupportedBasePoint(f"no builtin named {name!r}")
+    raise UnsupportedBasePoint(f"unknown function {name!r}")
 
 
 # ---------------------------------------------------------------------------

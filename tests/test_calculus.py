@@ -44,7 +44,7 @@ from omegacalc.calculus import (
     solve_ode,
     x_coeff,
 )
-from omegacalc.errors import IndexOutOfRange
+from omegacalc.errors import DomainError, IndexOutOfRange, OmegaError
 from omegacalc.functions import RegularFunction, _as_omega, builtin, derivative
 from omegacalc.omega import DEFAULT_ORDER, OmegaNumber, _min_order
 
@@ -710,3 +710,32 @@ class TestSummationLoop:
         assert (got.degree, got.name) == (expected.degree, expected.name)
         for l in range(10):
             assert key(got.coeff(l)) == key(expected.coeff(l))
+
+
+class TestArgumentRules:
+    """Each argument rule of the operators raises a DomainError, which a
+    caller catches with the library's one base class, OmegaError."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: finite_difference(builtin("exp"), O, -1),
+         "the difference order must be nonnegative"),
+        (lambda: leibniz_differential(builtin("exp"), O, -1),
+         "the difference order must be nonnegative"),
+        (lambda: brute_sum_iterated(RegularFunction.monomial(1), -1, 2),
+         "iterated grid sums are taken on the forward grid"),
+        (lambda: brute_sum_iterated(RegularFunction.monomial(1), 3, 0),
+         "nesting depth must be >= 1"),
+        (lambda: solve_ode(builtin("exp"), 0, []),
+         "the system order must be at least 1"),
+        (lambda: solve_ode(builtin("exp"), 2, [1]),
+         "need exactly 2 initial conditions"),
+        (lambda: solve_ode(builtin("log"), 2, [0, 0]),
+         "order-p systems are posed at base point 0"),
+    ], ids=["finite_difference p<0", "leibniz_differential n<0",
+            "brute_sum_iterated k<0", "brute_sum_iterated p<1", "solve_ode p<1",
+            "solve_ode init count", "solve_ode base point"])
+    def test_domain_error(self, call, message):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
+        assert isinstance(info.value, OmegaError)

@@ -296,6 +296,23 @@ class TestRepl:
         assert out == "4\n"
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad,code,err", [
+        ("1/0", 2, "inverse of zero"),
+        ("1+", 1, "parse error at offset 2: expected integer or name or '(' or '-'; "
+                  "found end of input"),
+    ], ids=["math error", "parse error"])
+    def test_eval_dash_prints_nothing_before_a_failing_line(self, bad, code, err,
+                                                            monkeypatch, capsys):
+        stdin = io.StringIO(f"1+o\n{bad}\n2\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert run_cli(["eval", "-"]) == (code, "")
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert stdin.readline() == "2\n"  # stops at the failing line
+
+    def test_eval_dash_prints_every_line(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1+o\n\n2*o\n"))
+        assert run_cli(["eval", "-"]) == (0, "1 + o\n2*o\n")
+
     def test_repl_continues_after_a_domain_error(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO("int^0[exp](o)\n1+o\n"))
         code, out = run_cli(["-i"])
@@ -304,26 +321,63 @@ class TestRepl:
         assert capsys.readouterr().err == "error: the system order must be at least 1\n"
 
 
+NO_TRACEBACK = [
+    # (argv, the one stderr line without its "error: " prefix)
+    (["ode", "log", "--p", "2"], "order-p systems are posed at base point 0"),
+    (["eval", "int^2[log](1+o)"], "order-p systems are posed at base point 0"),
+    (["ode", "exp", "--p", "0"], "the system order must be at least 1"),
+    (["eval", "int^0[exp](o)"], "the system order must be at least 1"),
+    (["diff", "exp", "--p", "-1"], "the difference order must be nonnegative"),
+    (["diff", "exp", "--p", "-1", "--leibniz"], "the difference order must be nonnegative"),
+    (["lift", "exp", "--target", "1+o", "--seed", "1/0"],
+     "--seed must be a rational number, got '1/0'"),
+    (["lift", "exp", "--target", "1+o", "--seed", "abc"],
+     "--seed must be a rational number, got 'abc'"),
+    (["bsum", "exp", "--from", "x", "--steps", "2"],
+     "--from must be a rational number, got 'x'"),
+    (["aleph", "add", "S"], "aleph add takes 2 argument(s), got 1"),
+    (["eval", "(" * 3000 + "1" + ")" * 3000], "expression nested too deeply"),
+]
+
+
 class TestNoTraceback:
     """Bad arguments print one error line and exit 2, never a traceback."""
 
-    @pytest.mark.parametrize("argv", [
-        ["ode", "log", "--p", "2"],
-        ["eval", "int^2[log](1+o)"],
-        ["ode", "exp", "--p", "0"],
-        ["eval", "int^0[exp](o)"],
-        ["diff", "exp", "--p", "-1"],
-        ["lift", "exp", "--target", "1+o", "--seed", "1/0"],
-        ["lift", "exp", "--target", "1+o", "--seed", "abc"],
-        ["bsum", "exp", "--from", "x", "--steps", "2"],
-        ["aleph", "add", "S"],
-        ["eval", "1" + "+1" * 3000],
-    ], ids=lambda argv: " ".join(argv)[:40])
-    def test_one_error_line(self, argv, capsys):
+    @pytest.mark.parametrize("argv,message", NO_TRACEBACK,
+                             ids=[" ".join(argv)[:40] for argv, _ in NO_TRACEBACK])
+    def test_one_error_line(self, argv, message, capsys):
         code, out = run_cli(argv)
-        err = capsys.readouterr().err
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    # Left-nested chains far past the recursion limit.
+    @pytest.mark.parametrize("expr,expected", [
+        ("1" + "+1" * 3000, "3001\n"),
+        ("1-1*2+3/4" + "-o" * 700, "-1/4 - 700*o\n"),
+    ], ids=["3001-term sum", "703-term mixed chain"])
+    def test_long_chain_evaluates(self, expr, expected):
+        assert run_cli(["eval", expr]) == (0, expected)
+
+
+LIBRARY_MESSAGES = [
+    (["eval", "pow(o)"], "pow needs an exponent"),
+    (["eval", "nosuch(o)"], "unknown function 'nosuch'"),
+    (["eval", "D^1[exp]"], "an operator form must be applied to a point"),
+    (["eval", "D^1[nosuch]"], "unknown function 'nosuch'"),
+    (["eval", "D^1[exp]+1"], "an operator form must be applied to a point"),
+    (["cmp", "D^1[exp]", "1"], "an operator form must be applied to a point"),
+    (["sum", "D^1[exp]"], "an operator form must be applied to a point"),
+]
+
+
+class TestLibraryMessages:
+    """Argument rules are the library's; the CLI prints its messages."""
+
+    @pytest.mark.parametrize("argv,message", LIBRARY_MESSAGES,
+                             ids=[" ".join(argv) for argv, _ in LIBRARY_MESSAGES])
+    def test_message(self, argv, message, capsys):
+        assert run_cli(argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestOneSummation:

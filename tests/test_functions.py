@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from omegacalc.errors import (
+    DomainError,
     NotInfinitesimal,
     SeedMismatch,
     SingularDerivative,
@@ -89,6 +90,10 @@ class TestDerivative:
             once = derivative(f, 2)
             assert all(twice.coeff(n) == once.coeff(n) for n in range(8))
 
+    def test_negative_order_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="derivative order must be nonnegative"):
+            derivative(builtin("exp"), -1)
+
     def test_log_coefficients_via_derivative(self):
         # log'(x) at 1 is the alternating geometric series 1 - u + u^2 - ...
         d = derivative(builtin("log"), 1)
@@ -116,8 +121,16 @@ class TestBuiltins:
     def test_unsupported_base_points(self):
         with pytest.raises(UnsupportedBasePoint):
             builtin("exp", base_point=1)
-        with pytest.raises(UnsupportedBasePoint):
+        with pytest.raises(UnsupportedBasePoint, match="^unknown function 'nosuch'$"):
             builtin("nosuch")
+
+    def test_negative_coefficient_index_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="coefficient index must be nonnegative"):
+            builtin("exp").coeff(-1)
+
+    def test_mixed_base_points_are_a_domain_error(self):
+        with pytest.raises(DomainError, match="functions have different base points"):
+            builtin("exp") + builtin("log")
 
     def test_sin_cos_low_terms(self):
         assert builtin("sin").eval(O, order=4) == OmegaNumber.from_terms(
