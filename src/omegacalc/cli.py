@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -101,16 +102,25 @@ def _number(node, order: int) -> OmegaNumber:
     return value
 
 
-def _eval_binop(node: BinOp, order: int):
-    # A loop down the left spine: a long chain like 1+1+...+1 is a deep
-    # left-nested tree, which recursion would take two frames per term for.
-    spine = []
+def _left_spine(node):
+    """The leftmost operand of a BinOp chain and its ``(op, right)`` steps, in order.
+
+    A loop, not recursion: a long chain like 1+1+...+1 is a deep
+    left-nested tree, which recursion would take two frames per term for.
+    """
+    steps = []
     while isinstance(node, BinOp):
-        spine.append(node)
+        steps.append((node.op, node.right))
         node = node.left
-    value = evaluate(node, order)
-    for binop in reversed(spine):
-        value = _apply_binop(binop.op, value, evaluate(binop.right, order), order)
+    steps.reverse()
+    return node, steps
+
+
+def _eval_binop(node: BinOp, order: int):
+    first, steps = _left_spine(node)
+    value = evaluate(first, order)
+    for op, right in steps:
+        value = _apply_binop(op, value, evaluate(right, order), order)
     return value
 
 
@@ -132,31 +142,19 @@ def _eval_extended_binop(op: str, lhs, rhs):
     # Construction sugar only: an exact finite part may be attached below
     # the infinite moment, and a monomial scale moves the moment.  The
     # extended values themselves have no ring structure.
-    if op in "+-":
-        if isinstance(lhs, ExtendedOmega) and isinstance(rhs, OmegaNumber):
-            ext, fin = lhs, rhs if op == "+" else -rhs
-        elif isinstance(rhs, ExtendedOmega) and isinstance(lhs, OmegaNumber):
-            ext, fin = rhs if op == "+" else -rhs, lhs
-        else:
-            raise OmegaError("extended numbers support comparison only")
-        return ExtendedOmega(ext.prefix + fin, ext.position, ext.sign)
+    ext, other = (lhs, rhs) if isinstance(lhs, ExtendedOmega) else (rhs, lhs)
+    if op == "/" or not isinstance(other, OmegaNumber):
+        raise OmegaError("extended numbers support comparison only")
     if op == "*":
-        if isinstance(lhs, ExtendedOmega) and isinstance(rhs, OmegaNumber):
-            ext, factor = lhs, rhs
-        elif isinstance(rhs, ExtendedOmega) and isinstance(lhs, OmegaNumber):
-            ext, factor = rhs, lhs
-        else:
-            raise OmegaError("extended numbers support comparison only")
-        terms = list(factor.terms())
-        if not factor.is_exact() or len(terms) != 1:
+        terms = list(other.terms())
+        if not other.is_exact() or len(terms) != 1:
             raise OmegaError("an infinite moment can only be scaled by a monomial")
-        exponent, coefficient = terms[0]
-        return ExtendedOmega(
-            ext.prefix * factor,
-            ext.position + exponent,
-            ext.sign * (1 if coefficient > 0 else -1),
-        )
-    raise OmegaError("extended numbers support comparison only")
+        [(exponent, coefficient)] = terms
+        return ExtendedOmega(ext.prefix * other, ext.position + exponent,
+                             ext.sign * (1 if coefficient > 0 else -1))
+    if op == "-":
+        ext, other = (ext, -other) if ext is lhs else (-ext, other)
+    return ExtendedOmega(ext.prefix + other, ext.position, ext.sign)
 
 
 def _eval_func(node, order: int) -> functions.RegularFunction:
@@ -201,6 +199,9 @@ def _eval_apply(node: Apply, order: int):
     raise OmegaError("only functions and operator forms can be applied")
 
 
+_RATIONAL_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def evaluate_rational(node) -> rational.RationalFunction:
     """Evaluate an expression in the field of rational functions of o."""
     RF = rational.RationalFunction
@@ -215,14 +216,11 @@ def evaluate_rational(node) -> rational.RationalFunction:
     if isinstance(node, Neg):
         return -evaluate_rational(node.operand)
     if isinstance(node, BinOp):
-        lhs, rhs = evaluate_rational(node.left), evaluate_rational(node.right)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        if node.op == "*":
-            return lhs * rhs
-        return lhs / rhs
+        first, steps = _left_spine(node)
+        value = evaluate_rational(first)
+        for op, right in steps:
+            value = _RATIONAL_OPS[op](value, evaluate_rational(right))
+        return value
     if isinstance(node, Pow):
         if node.exponent.denominator != 1:
             raise OmegaError("rational functions support integer powers only")

@@ -19,6 +19,7 @@ All values are immutable and all operations are pure functions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -43,34 +44,8 @@ Rational = Union[int, Fraction, str]
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
-class _InfiniteOrder:
-    """Distinguished value of ``ord(0)``: greater than every integer."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __gt__(self, other):
-        return not isinstance(other, _InfiniteOrder)
-
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _InfiniteOrder)
-
-    def __repr__(self):
-        return "INFINITE_ORDER"
-
-
-INFINITE_ORDER = _InfiniteOrder()
+#: ``ord(0)``: greater than every integer.
+INFINITE_ORDER = math.inf
 
 
 def _frac(value: Rational) -> Fraction:
@@ -326,11 +301,11 @@ class OmegaNumber:
             if self.is_exact():
                 raise DivisionByZero("inverse of zero")
             raise TruncationUnderflow("no known leading coefficient to invert")
-        a, v = self.coeffs[0], self.valuation
+        v = self.valuation
         if len(self.coeffs) == 1 and self.is_exact():
             # The inverse of an exact monomial is exact; `order` only caps
             # series expansion, it never discards finite knowledge.
-            return OmegaNumber.from_terms({-v: 1 / a})
+            return OmegaNumber.from_terms({-v: 1 / self.coeffs[0]})
         propagated = None if self.known_order is None else self.known_order - 2 * v
         target = _min_order(order, propagated)
         if target is None:
@@ -338,8 +313,7 @@ class OmegaNumber:
         rel = target + v
         if rel < 0:
             raise TruncationUnderflow("requested order is below the inverse's valuation")
-        p = _pow_series([c / a for c in self.coeffs[:rel + 1]], -1, rel)
-        return _canonical(-v, [c / a for c in p], target)
+        return _canonical(-v, _div_series([1], self.coeffs, rel), target)
 
     def pow_rational(self, alpha: Rational, order: int | None = None) -> "OmegaNumber":
         """``self**alpha`` for a rational exponent.
@@ -401,13 +375,36 @@ def _mul_trunc(a: Sequence, b: Sequence, limit: int | None = None) -> list:
     return out
 
 
-def _pow_series(u: Sequence, alpha: Fraction | int, limit: int) -> list:
+def _div_series(a: Sequence, b: Sequence, limit: int) -> list:
+    """Coefficients 0..limit of the power series ``a / b``, for ``b[0] != 0``.
+
+    The division recurrence (Knuth, TAOCP vol. 2, 4.7):
+    ``q[k] = (a[k] - sum_{j=1..k} b[j] * q[k-j]) / b[0]``.  Entries past
+    the end of ``a`` or ``b`` are zero.  A negative limit gives the empty
+    list.
+    """
+    b0 = _frac(b[0])
+    nonzero_b = [(j, c) for j, c in enumerate(b[1:limit + 1], 1) if c]
+    q = []
+    for k in range(limit + 1):
+        total = a[k] if k < len(a) else 0
+        for j, c in nonzero_b:
+            if j > k:
+                break
+            total -= c * q[k - j]
+        q.append(total / b0)
+    return q
+
+
+def _pow_series(u: Sequence, alpha: Fraction, limit: int) -> list:
     """Coefficients 0..limit of ``(1 + u[1]*o + u[2]*o**2 + ...)**alpha``.
 
     J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
     ``k*p[k] = sum_{j=1..k} ((alpha+1)*j - k) * u[j] * p[k-j]``.  ``u[0]``
     is taken to be 1; entries past the end of ``u`` are zero.  A negative
-    limit gives the empty list.
+    limit gives the empty list.  It serves fractional powers only:
+    ``invert`` divides with :func:`_div_series` and integer powers
+    multiply by squaring.
     """
     if limit < 0:
         return []
@@ -595,44 +592,31 @@ def compare_extended(
 ) -> int:
     """Lexicographic order on extended values.
 
-    At its position an infinite moment beats every finite coefficient
-    but is still dominated by everything at lower exponents.
+    A moment is a +/-inf coefficient at its position: it beats every
+    finite coefficient there but is dominated by everything at lower
+    exponents.  y's moment enters with its sign negated, and equal
+    moments cancel.  With no moment left the prefixes are compared.
+    Otherwise, at the lowest moment left p, with d the difference of the
+    prefixes: d's first term decides if it lies below p; if d's known
+    order lies below p the order is undecidable; else the moment decides.
     """
     ex, ey = ExtendedOmega.wrap(x), ExtendedOmega.wrap(y)
-    if ex.position is None and ey.position is None:
+    moments: dict[int, int] = {}
+    for position, sign in ((ex.position, ex.sign), (ey.position, -ey.sign)):
+        if position is not None:
+            moments[position] = moments.get(position, 0) + sign
+    left = [position for position, sign in moments.items() if sign]
+    if not left:
         return compare(ex.prefix, ey.prefix)
-
-    exponents = {e for e, _ in ex.prefix.terms()} | {e for e, _ in ey.prefix.terms()}
-    for p in (ex.position, ey.position):
-        if p is not None:
-            exponents.add(p)
-    for e in sorted(exponents):
-        vx = _extended_value_at(ex, e)
-        vy = _extended_value_at(ey, e)
-        if vx is None or vy is None:
-            raise IndistinguishableAtTruncation(
-                f"coefficient of o^{e} is unknown on one side"
-            )
-        if vx == vy:
-            continue
-        order = {"-inf": 0, "fin": 1, "+inf": 2}
-        kx, ky = vx[0], vy[0]
-        if kx == ky == "fin":
-            return GREATER if vx[1] > vy[1] else LESS
-        return GREATER if order[kx] > order[ky] else LESS
-    if ex.prefix.is_exact() and ey.prefix.is_exact():
-        return EQUAL
-    raise IndistinguishableAtTruncation("extended values agree on all known moments")
-
-
-def _extended_value_at(x: ExtendedOmega, exponent: int):
-    if x.position is not None and exponent == x.position:
-        return ("+inf", None) if x.sign > 0 else ("-inf", None)
-    if x.position is not None and exponent > x.position:
-        return ("fin", Fraction(0))
-    if x.prefix.known_order is not None and exponent > x.prefix.known_order:
-        return None
-    return ("fin", x.prefix.coefficient(exponent))
+    p = min(left)
+    d = ex.prefix - ey.prefix
+    if d.coeffs and d.valuation < p:
+        return GREATER if d.coeffs[0] > 0 else LESS
+    if d.known_order is not None and d.known_order < p:
+        raise IndistinguishableAtTruncation(
+            f"coefficient of o^{d.known_order + 1} is unknown on one side"
+        )
+    return GREATER if moments[p] > 0 else LESS
 
 
 def sup_finite(

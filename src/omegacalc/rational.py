@@ -2,7 +2,9 @@
 
 This is the field generated over the rationals by ``o`` alone (with
 ``S = 1/o``).  Every element expands into a unique series: when the
-denominator has a zero at ``o = 0`` its o-power factors out as S-powers.
+denominator has a zero at ``o = 0`` its o-power factors out as S-powers,
+and the rest is omega's series division.  Every constructor and operator
+reduces P/Q, so an expansion is finite exactly when Q is a monomial.
 The expansion is a field embedding, so comparison is routed through it
 rather than through cross-multiplication, reusing the one lexicographic
 order implementation.
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .errors import DivisionByZero, NotInRo
 from .omega import DEFAULT_ORDER, OmegaNumber, Rational, compare
-from .omega import _frac, _mul_trunc, _pow_by_squaring
+from .omega import _canonical, _div_series, _frac, _mul_trunc, _pow_by_squaring
 
 Poly = tuple[Fraction, ...]
 
@@ -144,37 +146,20 @@ class RationalFunction:
 def expand(rf: RationalFunction, order: int | None = None) -> OmegaNumber:
     """Laurent expansion of P/Q to the requested order.
 
-    Factors the denominator's o-power into S-powers, then divides by
-    increasing powers.  Terminating divisions give an exact value;
-    otherwise the result carries its truncation order.
+    Factors the denominator's o-power o^v into S-powers and divides by
+    omega's series-division recurrence.  P/Q is reduced, so the expansion
+    terminates only when Q is a monomial; it is exact when, besides, all
+    of P lies within the order, and otherwise it carries its truncation
+    order.
     """
     target = order if order is not None else DEFAULT_ORDER
     if rf.is_zero():
         return OmegaNumber.zero()
-    den_val = next(i for i, c in enumerate(rf.den) if c != 0)
-    den = list(rf.den[den_val:])
-    # series coefficients of num/den up to o^(target + den_val)
-    steps = target + den_val
-    if steps < 0:
-        return OmegaNumber.from_terms({}, known_order=target)
-    remainder = {i: c for i, c in enumerate(rf.num) if c != 0}
-    series: list[Fraction] = []
-    for j in range(steps + 1):
-        c = remainder.pop(j, Fraction(0)) / den[0]
-        series.append(c)
-        if c != 0:
-            for i, d in enumerate(den[1:], start=1):
-                e = j + i
-                v = remainder.get(e, Fraction(0)) - c * d
-                if v == 0:
-                    remainder.pop(e, None)
-                else:
-                    remainder[e] = v
-        if not remainder:
-            break
-    exact = not remainder
-    terms = {j - den_val: c for j, c in enumerate(series)}
-    return OmegaNumber.from_terms(terms, known_order=None if exact else target)
+    v = next(i for i, c in enumerate(rf.den) if c != 0)
+    den, limit = rf.den[v:], target + v
+    if len(den) == 1 and len(rf.num) <= limit + 1:
+        return _canonical(-v, [c / den[0] for c in rf.num], None)
+    return _canonical(-v, _div_series(rf.num, den, limit), target)
 
 
 def rf_compare(a: RationalFunction, b: RationalFunction, order: int | None = None) -> int:

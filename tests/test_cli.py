@@ -358,6 +358,34 @@ class TestNoTraceback:
     def test_long_chain_evaluates(self, expr, expected):
         assert run_cli(["eval", expr]) == (0, expected)
 
+    def test_long_expand_chain_evaluates(self):
+        assert run_cli(["expand", "1" + "+1" * 3000]) == (0, "3001\n")
+
+
+class TestExtendedSugar:
+    def test_cmp_names_the_first_unknown_coefficient(self, capsys):
+        assert run_cli(["cmp", "sqrt(1+o)", "1+eps*o", "--order", "0"]) == (3, "")
+        assert capsys.readouterr().err == (
+            "error: undecidable at this order: coefficient of o^1 is unknown on one side\n")
+
+    @pytest.mark.parametrize("expr,expected", [
+        ("1+eps", "1 + inf*o"), ("eps-1", "-1 + inf*o"),
+        ("o*eps", "inf*o^2"), ("S*eps", "inf"), ("(-2)*eps", "-inf*o"),
+    ])
+    def test_sugar_builds_the_extended_value(self, expr, expected):
+        assert run_cli(["eval", expr]) == (0, expected + "\n")
+
+    @pytest.mark.parametrize("expr,message", [
+        ("eps/2", "extended numbers support comparison only"),
+        ("eps-exp", "extended numbers support comparison only"),
+        ("eps*eps", "extended numbers support comparison only"),
+        ("eps*(1+o)", "an infinite moment can only be scaled by a monomial"),
+        ("eps+o", "finite coefficients may not sit at or beyond the infinite moment"),
+    ])
+    def test_sugar_errors(self, expr, message, capsys):
+        assert run_cli(["eval", expr]) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 LIBRARY_MESSAGES = [
     (["eval", "pow(o)"], "pow needs an exponent"),

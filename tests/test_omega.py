@@ -682,6 +682,101 @@ class TestExtended:
             assert compare_extended(-ExtendedOmega(t, 1, -1), -x) == GREATER
 
 
+# ---------------------------------------------------------------------------
+# The exponent walk with string tags that the moment rule replaced, kept as
+# an oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_extended_value_at(x, exponent):
+    if x.position is not None and exponent == x.position:
+        return ("+inf", None) if x.sign > 0 else ("-inf", None)
+    if x.position is not None and exponent > x.position:
+        return ("fin", F(0))
+    if x.prefix.known_order is not None and exponent > x.prefix.known_order:
+        return None
+    return ("fin", x.prefix.coefficient(exponent))
+
+
+def oracle_compare_extended(x, y):
+    ex, ey = ExtendedOmega.wrap(x), ExtendedOmega.wrap(y)
+    if ex.position is None and ey.position is None:
+        return compare(ex.prefix, ey.prefix)
+    exponents = {e for e, _ in ex.prefix.terms()} | {e for e, _ in ey.prefix.terms()}
+    for p in (ex.position, ey.position):
+        if p is not None:
+            exponents.add(p)
+    for e in sorted(exponents):
+        vx = oracle_extended_value_at(ex, e)
+        vy = oracle_extended_value_at(ey, e)
+        if vx is None or vy is None:
+            raise IndistinguishableAtTruncation(f"coefficient of o^{e} is unknown on one side")
+        if vx == vy:
+            continue
+        order = {"-inf": 0, "fin": 1, "+inf": 2}
+        kx, ky = vx[0], vy[0]
+        if kx == ky == "fin":
+            return GREATER if vx[1] > vy[1] else LESS
+        return GREATER if order[kx] > order[ky] else LESS
+    if ex.prefix.is_exact() and ey.prefix.is_exact():
+        return EQUAL
+    raise IndistinguishableAtTruncation("extended values agree on all known moments")
+
+
+def outcome_of(fn, *args):
+    """The value returned, or the type of the error raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type against the oracle's
+        return type(exc)
+
+
+def extended_values():
+    """A moment at -1..2 of either sign over an exact prefix below it."""
+    def build(terms, position, sign):
+        below = {e: c for e, c in terms.items() if e < position}
+        return ExtendedOmega(OmegaNumber.from_terms(below), position, sign)
+
+    return st.builds(build, omega_terms(), st.integers(-1, 2), st.sampled_from([-1, 1]))
+
+
+def extended_operands():
+    return extended_values() | inexact_omegas()
+
+
+THREE = OmegaNumber.from_rational(3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(extended_operands(), extended_operands())
+@example(ExtendedOmega(THREE, 1, 1), ExtendedOmega(THREE, 1, 1))  # equal moments
+@example(ExtendedOmega(THREE, 1, 1), ExtendedOmega(THREE, 1, -1))  # opposite signs
+@example(ExtendedOmega(THREE, 1, 1), ExtendedOmega(THREE, 2, -1))  # different positions
+@example(ExtendedOmega.epsilon(), OmegaNumber.from_terms({}, known_order=-2))  # inexact zero
+@example(OmegaNumber.from_terms({0: 3, 1: 1}, known_order=1), ExtendedOmega(THREE, 2, 1))
+@example(OmegaNumber.from_terms({0: 3}, known_order=0), ExtendedOmega(THREE, 1, -1))  # o^1 unknown
+def test_compare_extended_matches_walk_oracle(x, y):
+    assert outcome_of(compare_extended, x, y) == outcome_of(oracle_compare_extended, x, y)
+
+
+class TestExtendedOrderRule:
+    def test_equal_extended_values_are_equal(self):
+        for position, sign in ((1, 1), (1, -1), (-2, 1), (3, -1)):
+            prefix = OmegaNumber.from_terms({-4: 2, -3: 3})
+            assert compare_extended(ExtendedOmega(prefix, position, sign),
+                                    ExtendedOmega(prefix, position, sign)) == EQUAL
+
+    def test_equal_moments_leave_the_prefixes_to_decide(self):
+        assert compare_extended(ExtendedOmega(THREE, 1, 1),
+                                ExtendedOmega(THREE + ONE, 1, 1)) == LESS
+
+    def test_undecidable_names_the_first_unknown_coefficient(self):
+        root = (ONE + O).pow_rational(F(1, 2), order=0)  # 1 + O(o)
+        with pytest.raises(IndistinguishableAtTruncation,
+                           match=r"^coefficient of o\^1 is unknown on one side$"):
+            compare_extended(root, ExtendedOmega(ONE, 2, 1))
+
+
 class TestCauchyLimit:
     def test_constant_sequence(self):
         x = OmegaNumber.from_terms({0: 2, 1: 1, 5: 3, 6: 9})

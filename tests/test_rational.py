@@ -3,11 +3,11 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omegacalc.errors import DivisionByZero, IndistinguishableAtTruncation, NotInRo
-from omegacalc.omega import OmegaNumber, cauchy_limit, compare
+from omegacalc.omega import DEFAULT_ORDER, OmegaNumber, _div_series, cauchy_limit, compare
 from omegacalc.rational import (
     RationalFunction,
     completion_demo,
@@ -93,6 +93,84 @@ class TestExpand:
         got = expand((ONE + RO) * (ONE + RO), 9)
         assert got.is_exact()
         assert got == OmegaNumber.from_terms({0: 1, 1: 2, 2: 1})
+
+
+# ---------------------------------------------------------------------------
+# The remainder-dict long division that the series recurrence replaced,
+# kept as an oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_expand(rf, order=None):
+    target = order if order is not None else DEFAULT_ORDER
+    if rf.is_zero():
+        return OmegaNumber.zero()
+    den_val = next(i for i, c in enumerate(rf.den) if c != 0)
+    den = list(rf.den[den_val:])
+    steps = target + den_val
+    if steps < 0:
+        return OmegaNumber.from_terms({}, known_order=target)
+    remainder = {i: c for i, c in enumerate(rf.num) if c != 0}
+    series = []
+    for j in range(steps + 1):
+        c = remainder.pop(j, F(0)) / den[0]
+        series.append(c)
+        if c != 0:
+            for i, d in enumerate(den[1:], start=1):
+                v = remainder.get(j + i, F(0)) - c * d
+                if v == 0:
+                    remainder.pop(j + i, None)
+                else:
+                    remainder[j + i] = v
+        if not remainder:
+            break
+    terms = {j - den_val: c for j, c in enumerate(series)}
+    return OmegaNumber.from_terms(terms, known_order=None if not remainder else target)
+
+
+def naive_series_division(a, b, limit):
+    """Long division of power series: subtract q[k]*b from the remainder."""
+    remainder = [F(c) for c in a] + [F(0)] * max(limit + 1 - len(a), 0)
+    q = []
+    for k in range(limit + 1):
+        q.append(remainder[k] / b[0])
+        for j, c in enumerate(b):
+            if k + j <= limit:
+                remainder[k + j] -= q[k] * c
+    return q
+
+
+def reduced_rational_functions():
+    """Reduced P/Q whose Q, before reduction, has valuation 0..3."""
+    polys = st.lists(st.integers(-6, 6), min_size=1, max_size=4)
+    units = polys.filter(lambda c: c[0] != 0)
+    return st.builds(lambda n, v, d: RationalFunction.from_polys(n, [0] * v + d),
+                     polys, st.integers(0, 3), units)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduced_rational_functions(), st.none() | st.integers(-3, 24))
+@example(RationalFunction.from_polys([1, 0, 0, 0, 1], [1]), 2)  # polynomial cut short
+@example(RationalFunction.from_polys([1], [0, 0, 0, 1]), -3)  # order below the pole
+@example(RationalFunction.from_polys([1], [0, 0, 1, 1]), -3)  # target + v < 0
+def test_expand_matches_long_division_oracle(rf, order):
+    got, want = expand(rf, order), oracle_expand(rf, order)
+    assert (got.valuation, got.coeffs, got.known_order) == (
+        want.valuation, want.coeffs, want.known_order)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=5), max_size=6),
+       st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool),
+       st.lists(st.sampled_from([F(0), F(0), F(1), F(-2), F(1, 3)]), max_size=5),
+       st.integers(-1, 9))
+@example([F(1)], F(2), [], 4)  # one-element b
+@example([F(1), F(2)], F(1), [F(0), F(0), F(1)], 0)  # zeros in b, limit 0
+@example([], F(1), [F(1)], -1)  # negative limit
+def test_div_series_matches_naive_long_division(a, b0, rest, limit):
+    b = [b0] + rest
+    assert _div_series(a, b, limit) == naive_series_division(a, b, limit)
+    assert len(_div_series(a, b, limit)) == max(limit + 1, 0)
 
 
 class TestFieldLaws:
