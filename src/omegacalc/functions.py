@@ -9,6 +9,10 @@ is enough because ``u**k`` only contributes from ``o**k`` upward.
 
 Derivatives act on the standard part of the argument: the stream of the
 q-th derivative is ``(n+q)!/n! * coeff(n+q)``.
+
+Every built-in (exp, sin, cos, log, the geometric series, x**alpha) is a
+row of a linear system ``(1 + a*x)*Y' = B*Y`` with rational a and B, and
+``omega._ode_series`` computes its coefficients.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .omega import (
     Rational,
     _frac,
     _min_order,
+    _ode_series,
     rational_root_power,
 )
 
@@ -242,6 +247,16 @@ def taylor_shift(
 # ---------------------------------------------------------------------------
 
 
+#: name -> (base point, radius, a, B, y0); the built-in is Y[0] of (1 + a*x)*Y' = B*Y.
+_SYSTEMS = {
+    "exp": (0, None, 0, ((1,),), (1,)),
+    "sin": (0, None, 0, ((0, 1), (-1, 0)), (0, 1)),  # Y = (sin, cos)
+    "cos": (0, None, 0, ((0, -1), (1, 0)), (1, 0)),  # Y = (cos, sin)
+    "log": (1, 1, 1, ((0, 1), (0, 0)), (0, 1)),  # Y = (L, 1): (1+x)*L' = 1
+    "geometric": (0, 1, -1, ((1,),), (1,)),  # (1-x)*G' = G
+}
+
+
 def builtin(
     name: str, base_point: Rational | None = None, alpha: Rational | None = None
 ) -> RegularFunction:
@@ -249,68 +264,43 @@ def builtin(
 
     exp/sin/cos at 0, log at 1, the geometric series 1/(1-x) at 0, and
     ``pow`` (x**alpha) at any positive rational base whose alpha-th power
-    is rational.
+    is rational.  Each is a row of a linear system ``(1 + a*x)*Y' = B*Y``
+    (``pow`` at t: ``(t + x)*P' = alpha*P``), and ``_ode_series`` computes
+    its coefficients.
     """
     base = None if base_point is None else _frac(base_point)
-    if name == "exp":
-        if base not in (None, Fraction(0)):
-            raise UnsupportedBasePoint("exp has rational coefficients only at 0")
-        return RegularFunction(
-            lambda n: OmegaNumber.from_rational(Fraction(1, math.factorial(n))),
-            name="exp", radius=None,
-        )
-    if name == "sin":
-        if base not in (None, Fraction(0)):
-            raise UnsupportedBasePoint("sin has rational coefficients only at 0")
-        return RegularFunction(
-            lambda n: OmegaNumber.from_rational(
-                Fraction((-1) ** ((n - 1) // 2), math.factorial(n)) if n % 2 else 0
-            ),
-            name="sin", radius=None,
-        )
-    if name == "cos":
-        if base not in (None, Fraction(0)):
-            raise UnsupportedBasePoint("cos has rational coefficients only at 0")
-        return RegularFunction(
-            lambda n: OmegaNumber.from_rational(
-                Fraction((-1) ** (n // 2), math.factorial(n)) if n % 2 == 0 else 0
-            ),
-            name="cos", radius=None,
-        )
-    if name == "log":
-        if base not in (None, Fraction(1)):
-            raise UnsupportedBasePoint("log has rational coefficients only at 1")
-        return RegularFunction(
-            lambda n: OmegaNumber.from_rational(
-                0 if n == 0 else Fraction((-1) ** (n + 1), n)
-            ),
-            base_point=1, name="log", radius=1,
-        )
-    if name == "geometric":
-        if base not in (None, Fraction(0)):
-            raise UnsupportedBasePoint("the geometric series is taken at 0")
-        return RegularFunction(
-            lambda n: OmegaNumber.one(), name="geometric", radius=1
-        )
     if name == "pow":
         if alpha is None:
             raise UnsupportedBasePoint("pow needs an exponent")
-        a = _frac(alpha)
+        alpha = _frac(alpha)
         t = Fraction(1) if base is None else base
         if t <= 0:
             raise UnsupportedBasePoint("pow needs a positive base point")
-        t_alpha = rational_root_power(t, a)  # may raise NonRepresentableBase
+        system = (t, t, 1 / t, ((alpha / t,),), (rational_root_power(t, alpha),))
+        name = f"pow_{alpha}"
+    elif name in _SYSTEMS:
+        system = _SYSTEMS[name]
+        if base not in (None, system[0]):
+            raise UnsupportedBasePoint(
+                "the geometric series is taken at 0" if name == "geometric"
+                else f"{name} has rational coefficients only at {system[0]}"
+            )
+    else:
+        raise UnsupportedBasePoint(f"unknown function {name!r}")
+    base, radius, a, B, y0 = system
+    columns = [[_frac(y)] for y in y0]
 
-        def coeff(n: int) -> OmegaNumber:
-            binom = Fraction(1)
-            for i in range(n):
-                binom *= (a - i) / (i + 1)
-            return OmegaNumber.from_rational(binom * t_alpha / t**n)
+    def coeff(n: int) -> OmegaNumber:
+        # A miss continues a copy of the columns to n or to twice their length
+        # and republishes it whole: racing threads never see a half-built one.
+        nonlocal columns
+        prefix = columns
+        if n >= len(prefix[0]):
+            limit = max(n, 2 * len(prefix[0]) - 1)
+            prefix = columns = _ode_series(a, B, prefix, (0, 1), limit)
+        return OmegaNumber.from_rational(prefix[0][n])
 
-        return RegularFunction(
-            coeff, base_point=t, name=f"pow_{a}", radius=t,
-        )
-    raise UnsupportedBasePoint(f"unknown function {name!r}")
+    return RegularFunction(coeff, base_point=base, radius=radius, name=name)
 
 
 # ---------------------------------------------------------------------------

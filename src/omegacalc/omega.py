@@ -341,8 +341,8 @@ class OmegaNumber:
         target = _min_order(order, self.known_order)
         if target is None:
             target = DEFAULT_ORDER
-        p = _pow_series([c / t for c in self.coeffs[:target + 1]], alpha, target)
-        return _canonical(0, [t_alpha * c for c in p], target)
+        u = [c / t for c in self.coeffs[:target + 1]]
+        return _canonical(0, _ode_series(1, ((alpha,),), [[t_alpha]], u, target)[0], target)
 
     # -- rendering ----------------------------------------------------
 
@@ -396,30 +396,35 @@ def _div_series(a: Sequence, b: Sequence, limit: int) -> list:
     return q
 
 
-def _pow_series(u: Sequence, alpha: Fraction, limit: int) -> list:
-    """Coefficients 0..limit of ``(1 + u[1]*o + u[2]*o**2 + ...)**alpha``.
+def _ode_series(a: Rational, B: Sequence, prefix: Sequence, u: Sequence, limit: int) -> list:
+    """Columns 0..limit of each component of ``Y(u)``, where
+    ``(1 + a*x)*Y' = B*Y``, continued on fresh lists from the equal-length
+    ``Fraction`` columns ``prefix`` (at least Y(0)).  ``u[0]`` counts as 0,
+    entries past its end as zero; a negative limit gives empty columns.
 
-    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
-    ``k*p[k] = sum_{j=1..k} ((alpha+1)*j - k) * u[j] * p[k-j]``.  ``u[0]``
-    is taken to be 1; entries past the end of ``u`` are zero.  A negative
-    limit gives the empty list.  It serves fractional powers only:
-    ``invert`` divides with :func:`_div_series` and integer powers
-    multiply by squaring.
+    By the o^(k-1) coefficient of ``(1 + a*u)*Y(u)' = u'*B*Y(u)``,
+    ``k*Y[k] = sum_{j=1..k} ((B + d)*j - d*k) * u[j] * Y[k-j]`` with d = a
+    on the diagonal and 0 off it; for ``(1+x)*P' = alpha*P`` it is Miller's
+    power recurrence (Knuth, TAOCP vol. 2, 4.7).
     """
-    if limit < 0:
-        return []
+    columns = [list(col[:max(limit + 1, 0)]) for col in prefix]
     nonzero_u = [(j, c) for j, c in enumerate(u[1:limit + 1], 1) if c]
-    scale = alpha + 1
-    p = [Fraction(1)]
-    for k in range(1, limit + 1):
-        # Fraction(0), not 0: an int 0 / k would be the float 0.0.
-        total = Fraction(0)
-        for j, c in nonzero_u:
-            if j > k:
-                break
-            total += (scale * j - k) * c * p[k - j]
-        p.append(total / k)
-    return p
+    # Per component, the columns it reads with their (B + d, d).
+    rows = [[(columns[l], b + (a if i == l else 0), a if i == l else 0)
+             for l, b in enumerate(row) if b or (i == l and a)]
+            for i, row in enumerate(B)]
+    for k in range(len(columns[0]), limit + 1):
+        for col, row in zip(columns, rows):
+            # Fraction(0), not 0: an int 0 / k would be the float 0.0.
+            total = Fraction(0)
+            for y, scale, d in row:
+                dk = d * k
+                for j, c in nonzero_u:
+                    if j > k:
+                        break
+                    total += (scale * j - dk) * c * y[k - j]
+            col.append(total / k)
+    return columns
 
 
 def _pow_by_squaring(base, n: int, one):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .errors import DivisionByZero, NotInRo
 from .omega import DEFAULT_ORDER, OmegaNumber, Rational, compare
-from .omega import _canonical, _div_series, _frac, _mul_trunc, _pow_by_squaring
+from .omega import _canonical, _div_series, _frac, _mul_trunc
 
 Poly = tuple[Fraction, ...]
 
@@ -47,6 +47,11 @@ def _poly_neg(a: Poly) -> Poly:
 
 def _poly_mul(a: Poly, b: Poly) -> Poly:
     return _poly(_mul_trunc(a, b))
+
+
+def _poly_pow(a: Poly, n: int) -> Poly:
+    power = _canonical(0, a, None) ** n  # the kernel's exact binary powering
+    return (Fraction(0),) * (power.valuation or 0) + power.coeffs
 
 
 def _poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -137,10 +142,9 @@ class RationalFunction:
         return self * other.invert()
 
     def __pow__(self, n: int) -> "RationalFunction":
-        if n < 0:
-            return self.invert() ** (-n)
-        # Starting from 1, even n = 1 reduces an operand through from_polys.
-        return _pow_by_squaring(self, n, RationalFunction.from_rational(1))
+        # One gcd, on the operand: P/Q reduced, Q monic => P^n/Q^n too.
+        base = self.invert() if n < 0 else RationalFunction.from_polys(self.num, self.den)
+        return RationalFunction(_poly_pow(base.num, abs(n)), _poly_pow(base.den, abs(n)))
 
 
 def expand(rf: RationalFunction, order: int | None = None) -> OmegaNumber:

@@ -614,6 +614,12 @@ class TestFundamentalPair:
         const = RegularFunction.constant(42)
         assert all(D_op(const).coeff(n).is_zero() for n in range(6))
 
+    @pytest.mark.parametrize("name", ["exp", "sin", "cos", "geometric"])
+    def test_d_after_s_on_an_infinite_stream(self, name):
+        f = builtin(name)
+        back = D_op(integrate(f, 0, order=8), order=8)
+        assert all(back.coeff(l) == f.coeff(l).truncate(8) for l in range(10))
+
 
 class TestGridBinomial:
     def test_low_cases(self):

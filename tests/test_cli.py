@@ -337,6 +337,11 @@ NO_TRACEBACK = [
      "--from must be a rational number, got 'x'"),
     (["aleph", "add", "S"], "aleph add takes 2 argument(s), got 1"),
     (["eval", "(" * 3000 + "1" + ")" * 3000], "expression nested too deeply"),
+    (["expand", "eps"], "eps is not a rational function"),
+    (["expand", "o^(1/2)"], "rational functions support integer powers only"),
+    (["expand", "exp"], "not a rational-function expression"),
+    (["ode", "exp", "--p", "1", "--init", "1", "--init", "2"],
+     "more initial conditions than the system order"),
 ]
 
 
@@ -458,6 +463,15 @@ class TestExpandOrder:
         assert code == 2
         assert out == ""
         assert "OMEGA_MAX_ORDER" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr,expected", [
+        ("S", "S"),
+        ("(-o)", "-o"),
+        ("((1+2*o-o^3)/(1-2*o+3*o^2+o^3))^40",
+         "1 + 160*o + 12680*o^2 + 663360*o^3 + 25760500*o^4 + O(o^5)"),
+    ])
+    def test_expand_prints(self, expr, expected):
+        assert run_cli(["expand", expr, "--order", "4"]) == (0, expected + "\n")
 
     def test_uncapped_alias_is_gone(self):
         out = io.StringIO()

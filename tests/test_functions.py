@@ -1,12 +1,15 @@
 """Regular functions: evaluation, derivatives, shifts, lifting."""
 
 import math
+import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from omegacalc.errors import (
     DomainError,
+    NonRepresentableBase,
     NotInfinitesimal,
     SeedMismatch,
     SingularDerivative,
@@ -21,7 +24,7 @@ from omegacalc.functions import (
     solve_lift,
     taylor_shift,
 )
-from omegacalc.omega import OmegaNumber, much_less
+from omegacalc.omega import OmegaNumber, much_less, rational_root_power
 
 from conftest import random_omega
 
@@ -141,6 +144,80 @@ class TestBuiltins:
         )
 
 
+# The closed forms `builtin` computed before every built-in became a row of
+# one linear system, kept as oracles.
+CLOSED_FORMS = {
+    "exp": lambda n: F(1, math.factorial(n)),
+    "sin": lambda n: F((-1) ** ((n - 1) // 2), math.factorial(n)) if n % 2 else F(0),
+    "cos": lambda n: F((-1) ** (n // 2), math.factorial(n)) if n % 2 == 0 else F(0),
+    "log": lambda n: F(0) if n == 0 else F((-1) ** (n + 1), n),
+    "geometric": lambda n: F(1),
+}
+
+
+def closed_form_pow(t, a):
+    t_alpha = rational_root_power(t, a)
+
+    def coeff(n):
+        binom = F(1)
+        for i in range(n):
+            binom *= (a - i) / (i + 1)
+        return binom * t_alpha / t**n
+
+    return coeff
+
+
+POW_CASES = [(F(4), F(1, 2)), (F(8), F(2, 3)), (F(1), F(-1, 3)), (F(1, 4), F(3, 2)),
+             (F(9), F(0)), (F(2), F(3)), (F(5), F(-2))]
+
+# (name, base point, alpha) -> (stream name, base point, radius, closed form)
+BUILTIN_CONTRACT = [
+    (("exp", None, None), ("exp", 0, None, CLOSED_FORMS["exp"])),
+    (("sin", None, None), ("sin", 0, None, CLOSED_FORMS["sin"])),
+    (("cos", 0, None), ("cos", 0, None, CLOSED_FORMS["cos"])),
+    (("log", None, None), ("log", 1, 1, CLOSED_FORMS["log"])),
+    (("geometric", None, None), ("geometric", 0, 1, CLOSED_FORMS["geometric"])),
+] + [(("pow", t, a), (f"pow_{a}", t, t, closed_form_pow(t, a))) for t, a in POW_CASES]
+
+
+class TestBuiltinContract:
+    @pytest.mark.parametrize("args,expected", BUILTIN_CONTRACT,
+                             ids=[f"{n}@{t}^{a}" for (n, t, a), _ in BUILTIN_CONTRACT])
+    def test_coefficients_match_closed_form(self, args, expected):
+        name, base_point, alpha = args
+        f = builtin(name, base_point=base_point, alpha=alpha)
+        stream_name, base, radius, closed_form = expected
+        assert (f.name, f.base_point, f.radius, f.degree) == (stream_name, base, radius, None)
+        order = list(range(301))
+        random.Random(name).shuffle(order)  # out-of-order reads continue the prefix
+        for n in order:
+            assert f.coeff(n) == OmegaNumber.from_rational(closed_form(n))
+
+    @pytest.mark.parametrize("args,message", [
+        (("exp", 1, None), "exp has rational coefficients only at 0"),
+        (("sin", F(1, 2), None), "sin has rational coefficients only at 0"),
+        (("cos", -1, None), "cos has rational coefficients only at 0"),
+        (("log", 0, None), "log has rational coefficients only at 1"),
+        (("geometric", 1, None), "the geometric series is taken at 0"),
+        (("pow", 4, None), "pow needs an exponent"),
+        (("pow", 0, F(1, 2)), "pow needs a positive base point"),
+        (("pow", -4, 2), "pow needs a positive base point"),
+        (("nosuch", None, None), "unknown function 'nosuch'"),
+    ])
+    def test_messages(self, args, message):
+        name, base_point, alpha = args
+        with pytest.raises(UnsupportedBasePoint, match=f"^{re.escape(message)}$"):
+            builtin(name, base_point=base_point, alpha=alpha)
+
+    def test_irrational_base_power(self):
+        with pytest.raises(NonRepresentableBase):
+            builtin("pow", base_point=2, alpha=F(1, 2))
+
+    def test_cold_far_coefficient_does_not_recurse(self):
+        assert builtin("exp").coeff(3000) == OmegaNumber.from_rational(
+            F(1, math.factorial(3000)))
+
+
 class TestTaylorShift:
     def test_zero_shift_is_identity(self):
         f = builtin("exp")
@@ -243,6 +320,8 @@ class TestSolveLift:
             solve_lift(square, ONE + O, 2)
         with pytest.raises(SingularDerivative):
             solve_lift(square, OmegaNumber.zero() + O - O, 0)
+        with pytest.raises(NotInfinitesimal):
+            solve_lift(builtin("exp"), 1, 1)
 
     def test_each_moment_is_forced(self, rng):
         # uniqueness: solving again from the same seed gives the same value
@@ -311,6 +390,36 @@ class TestConcurrentReads:
         for t in threads:
             t.join()
         assert all(r == results[0] for r in results)
+
+    def test_racing_prefix_extensions_stay_exact(self):
+        # Threads that extend the cached columns at once publish whole
+        # prefixes; every read must still see the exact coefficient.
+        import sys
+        import threading
+
+        f = builtin("sin")
+        wrong = []
+
+        def reader(seed):
+            order = list(range(200))
+            random.Random(seed).shuffle(order)
+            for n in order:
+                if f.coeff(n) != OmegaNumber.from_rational(CLOSED_FORMS["sin"](n)):
+                    wrong.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(s,), daemon=True)
+                       for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestSelfReferentialStream:

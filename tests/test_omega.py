@@ -37,6 +37,7 @@ from omegacalc.omega import (
     sup_finite,
     to_json_dict,
     _mul_trunc,
+    _ode_series,
 )
 from omegacalc.rational import RationalFunction
 
@@ -311,6 +312,38 @@ def test_rational_first_power_reduces_its_operand():
     assert unreduced ** 1 == RationalFunction.from_polys([1, 1], [1])
 
 
+@settings(max_examples=60, deadline=None)
+@given(rational_functions(), st.integers(-12, 12))
+def test_rational_power_is_reduced_naive_power(a, n):
+    if a.is_zero() and n < 0:
+        with pytest.raises(DivisionByZero):
+            a ** n
+        return
+    base = a if n >= 0 else a.invert()
+    num, den = [F(1)], [F(1)]
+    for _ in range(abs(n)):
+        num, den = naive_convolution(num, base.num), naive_convolution(den, base.den)
+    assert a ** n == RationalFunction.from_polys(num, den)
+
+
+def test_rational_power_reduces_only_its_operand(monkeypatch):
+    from omegacalc import rational
+
+    calls = []
+    gcd = rational._poly_gcd
+
+    def counting(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(rational, "_poly_gcd", counting)
+    a = RationalFunction.from_polys([1, 2, 0, -1], [1, -2, 3, 1])
+    for n in (20, -20):
+        calls.clear()
+        a ** n
+        assert len(calls) <= 2
+
+
 # ---------------------------------------------------------------------------
 # The N-fold loops that Miller's recurrence and binary powering replaced,
 # kept as oracles
@@ -425,6 +458,38 @@ def power_series_operands():
 
 
 FRACTIONAL_EXPONENTS = [F(1, 2), F(-1, 2), F(3, 2), F(-3, 2), F(1, 3), F(-2, 3), F(5, 4)]
+
+
+def oracle_pow_series(u, alpha, limit):
+    """Coefficients 0..limit of ``(1 + u[1]*o + u[2]*o**2 + ...)**alpha`` by
+    J.C.P. Miller's recurrence ``k*p[k] = sum_{j=1..k} ((alpha+1)*j - k) *
+    u[j] * p[k-j]``, as the kernel ran it before its linear-system routine."""
+    if limit < 0:
+        return []
+    nonzero_u = [(j, c) for j, c in enumerate(u[1:limit + 1], 1) if c]
+    scale = alpha + 1
+    p = [F(1)]
+    for k in range(1, limit + 1):
+        total = F(0)
+        for j, c in nonzero_u:
+            if j > k:
+                break
+            total += (scale * j - k) * c * p[k - j]
+        p.append(total / k)
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.just(F(0)) | small_fractions(), max_size=12),
+       st.sampled_from(FRACTIONAL_EXPONENTS + [F(0), F(2), F(-1)]), st.integers(-1, 10))
+@example([], F(1, 2), -1)
+@example([F(1)], F(1, 2), 0)
+@example([F(1), F(0), F(0), F(3)], F(-2, 3), 9)  # zeros in u, u shorter than the limit
+@example([F(1), F(2), F(0), F(4), F(5)], F(1, 3), 2)  # u longer than the limit
+def test_ode_series_is_millers_power_recurrence(u, alpha, limit):
+    got = _ode_series(1, ((alpha,),), [[F(1)]], u, limit)
+    assert len(got) == 1
+    assert [(type(c), c) for c in got[0]] == [(F, c) for c in oracle_pow_series(u, alpha, limit)]
 
 
 @settings(max_examples=200)
@@ -577,6 +642,11 @@ class TestMuchLess:
     def test_zero_much_less_than_anything_nonzero(self):
         assert much_less(ZERO, O)
         assert not much_less(ZERO, ZERO)
+
+    def test_inexact_zero_decides_only_below_its_tail(self):
+        assert much_less(OmegaNumber.from_terms({}, known_order=3), O * O)
+        with pytest.raises(IndistinguishableAtTruncation):
+            much_less(OmegaNumber.from_terms({}, known_order=1), O * O)
 
     def test_equivalence_with_ord(self, rng):
         for _ in range(200):
