@@ -106,7 +106,9 @@ class OmegaNumber:
         for exponent, coefficient in items:
             c = _frac(coefficient)
             if c and (known_order is None or exponent <= known_order):
-                sparse[exponent] = sparse.get(exponent, 0) + c
+                # Values are held by the thousands: store the caller's
+                # immutable Fraction itself and add only on a repeat.
+                sparse[exponent] = sparse[exponent] + c if exponent in sparse else c
         if not sparse:
             return OmegaNumber(None, (), known_order)
         lo = min(sparse)
@@ -356,23 +358,55 @@ class OmegaNumber:
 def _mul_trunc(a: Sequence, b: Sequence, limit: int | None = None) -> list:
     """Dense product of two coefficient sequences: ``out[k] = sum a[i]*b[k-i]``.
 
-    No index past ``limit`` is formed, so a negative limit gives the empty
-    product.  Zero coefficients are skipped; a slot no product reaches
-    holds the int 0.
+    Kronecker substitution (Schoenhage, EUROCAM 1982; Harvey, JSC 2009):
+    each operand is put over the lcm of its denominators, ``a = A/da`` and
+    ``b = B/db`` with integer vectors A and B, and each integer vector is
+    evaluated at ``x = 2**w``.  One big-integer product of the two values
+    holds every convolution sum ``C[k] = sum A[i]*B[k-i]`` in its slot k of
+    w bits.  ``|C[k]| <= M = max|A| * max|B| * min(len A, len B)``, so
+    ``w = M.bit_length() + 1``, the least width that always does, keeps
+    each C[k] in ``[-2**(w-1), 2**(w-1))`` as a signed digit.  Reading
+    from the bottom, a slot holding at least ``2**(w-1)`` is the negative
+    digit ``slot - 2**w``, and its ``2**w`` is borrowed from the slot
+    above.  Then ``out[k] = C[k] / (da*db)``.
+
+    Only ``a[:n]`` and ``b[:n]`` are packed and n slots read, n the full
+    length cut to ``limit + 1``, so no index past ``limit`` is formed and a
+    negative limit gives the empty product.  A zero slot holds the int 0.
     """
     n = len(a) + len(b) - 1 if a and b else 0
     if limit is not None:
         n = max(min(n, limit + 1), 0)
-    out = [0] * n
-    nonzero_b = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a[:n]):
-        if not x:
-            continue
-        for j, y in nonzero_b:
-            if i + j >= n:
-                break
-            out[i + j] += x * y
+    if not n:
+        return []
+    A, da = _over_lcm(a[:n])
+    B, db = _over_lcm(b[:n])
+    w = (max(map(abs, A)) * max(map(abs, B)) * min(len(A), len(B))).bit_length() + 1
+    product = _pack(A, w) * _pack(B, w)
+    mask, half, d = (1 << w) - 1, 1 << (w - 1), da * db
+    out = []
+    for _ in range(n):
+        c = product & mask
+        product >>= w
+        if c >= half:
+            c -= mask + 1
+            product += 1  # the borrow
+        out.append(Fraction(c, d) if c else 0)
     return out
+
+
+def _over_lcm(v: Sequence) -> tuple[list, int]:
+    """Integer numerators of the rationals ``v`` over their least common denominator."""
+    d = math.lcm(*[x.denominator for x in v])
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
+def _pack(v: Sequence, w: int) -> int:
+    """``sum v[i] * 2**(w*i)`` for integer digits of either sign."""
+    x = 0
+    for c in reversed(v):
+        x = (x << w) + c
+    return x
 
 
 def _div_series(a: Sequence, b: Sequence, limit: int) -> list:

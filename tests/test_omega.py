@@ -1,6 +1,7 @@
 """Core number type: canonical form, ring laws, order, inversion, powers."""
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -239,6 +240,13 @@ def test_from_terms_matches_oracle(terms, ko):
     assert key(OmegaNumber.from_terms(terms, ko)) == oracle_from_terms(terms.items(), ko)
 
 
+def test_from_terms_shares_coefficients():
+    c = F(2, 3)
+    assert OmegaNumber.from_terms({0: c, 2: F(1, 5)}).coeffs[0] is c
+    (total,) = OmegaNumber.from_terms([(0, c), (0, c)]).coeffs
+    assert type(total) is F and total == 2 * c
+
+
 @settings(max_examples=200)
 @given(inexact_omegas(), inexact_omegas())
 def test_mul_add_sub_match_oracle(x, y):
@@ -267,6 +275,70 @@ def test_mul_trunc_matches_naive_convolution(a, b, limit):
     full = naive_convolution(a, b) if a and b else []
     expected = full if limit is None else full[:max(limit + 1, 0)]
     assert _mul_trunc(a, b, limit) == expected
+
+
+# ---------------------------------------------------------------------------
+# The schoolbook loop that Kronecker substitution replaced, kept as an oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_mul_trunc(a, b, limit=None):
+    n = len(a) + len(b) - 1 if a and b else 0
+    if limit is not None:
+        n = max(min(n, limit + 1), 0)
+    out = [0] * n
+    nonzero_b = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a[:n]):
+        if not x:
+            continue
+        for j, y in nonzero_b:
+            if i + j >= n:
+                break
+            out[i + j] += x * y
+    return out
+
+
+# Pairwise coprime, up to 127 bits: their lcm swells the packed slots.
+COPRIME_DENOMINATORS = (3, 5, 7, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+
+
+def kernel_vectors():
+    """Dense vectors of ints and Fractions, with zero runs inside and at the
+    ends, up to 70 entries; numerators reach 2**400."""
+    entry = (st.integers(-3, 3) | small_fractions()
+             | st.builds(F, st.integers(-2**400, 2**400), st.sampled_from(COPRIME_DENOMINATORS)))
+    negative = (st.integers(-2**64, -1)
+                | st.builds(F, st.integers(-2**400, -1), st.sampled_from(COPRIME_DENOMINATORS)))
+    body = st.lists(entry, max_size=70) | st.lists(negative, min_size=1, max_size=70)
+    return st.builds(lambda lead, v, trail: [0] * lead + v + [0] * trail,
+                     st.integers(0, 3), body, st.integers(0, 3)).map(lambda v: v[:70])
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_vectors(), kernel_vectors(),
+       st.none() | st.sampled_from([-1, 0]) | st.integers(-1, 150))
+@example([F(-5, 3)], [-2], None)
+@example([7], [F(2**400, 2**127 - 1), 0, -1], 0)
+@example([0, 1, 0], [0, 0, 0, -4], 200)
+@example([F(-1, 2)] * 70, [F(-3, 5)] * 70, -1)
+def test_mul_trunc_matches_schoolbook(a, b, limit):
+    assert [F(c) for c in _mul_trunc(a, b, limit)] == oracle_mul_trunc(a, b, limit)
+
+
+@pytest.mark.parametrize("M", [1, 3, 255, 2**64 - 1, F(2**100 + 1, 2**61 - 1)])
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_mul_trunc_slot_boundaries(M, n):
+    # Each convolution sum reaches +-min(len)*M**2, the largest value a
+    # slot must hold: all-equal vectors fill the middle slot with it, and
+    # alternating signs put it there negated, below slots that borrow.
+    for a in ([M] * n, [-M] * n, [M, -M] * n, [-M, M] * n):
+        assert _mul_trunc(a, a) == oracle_mul_trunc(a, a)
+        assert _mul_trunc(a, [M] * n) == oracle_mul_trunc(a, [M] * n)
+
+
+def test_binomial_row_2000():
+    row = ((1 + O) ** 2000).coeffs
+    assert list(row) == [math.comb(2000, k) for k in range(2001)]
 
 
 def alephs():
