@@ -18,9 +18,9 @@ checks directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import (
     IndistinguishableAtTruncation,
     OutOfDomain,
@@ -29,22 +29,21 @@ from .errors import (
 from .omega import DEFAULT_ORDER, OmegaNumber, Rational, _frac, compare, render_plain
 
 
-@dataclass(frozen=True)
-class AlephInt:
+class AlephInt(Record):
     """An exact ``OmegaNumber`` with no o-part and an integer constant term.
 
     ``coeffs[k]`` is the coefficient of S^k (``o^-k``); zero is ``(0,)``.
     """
 
-    value: OmegaNumber
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        v = self.value
-        if not v.is_exact():
+    def __init__(self, value: OmegaNumber):
+        super().__init__(value)
+        if not value.is_exact():
             raise OutOfDomain("nonstandard integers are exact values")
-        if v.coeffs and v.valuation + len(v.coeffs) > 1:
+        if value.coeffs and value.valuation + len(value.coeffs) > 1:
             raise OutOfDomain("value has a nonzero o-part")
-        if v.coefficient(0).denominator != 1:
+        if value.coefficient(0).denominator != 1:
             raise OutOfDomain("constant term is not an integer")
 
     @staticmethod
@@ -151,12 +150,10 @@ def compare_aleph(L: AlephInt, M: AlephInt) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridPoint:
+class GridPoint(Record):
     """A step-o grid point ``t + k*o`` (standard part t, step count k)."""
 
-    t: Fraction
-    k: int
+    __slots__ = ("t", "k")  # a Fraction and an int
 
     @staticmethod
     def of(t: Rational, k: int) -> "GridPoint":
@@ -199,7 +196,9 @@ def integer_truncature(x: OmegaNumber) -> AlephInt:
     sign is hidden past the known order the floor is undecidable.
     """
     if x.known_order is not None and x.known_order < 0:
-        raise IndistinguishableAtTruncation("constant coefficient is unknown")
+        raise IndistinguishableAtTruncation(
+            "constant coefficient is unknown", known_through=x.known_order
+        )
     c0 = x.coefficient(0)
     if c0.denominator == 1:
         d0 = c0 + _sign_of_tail(x)  # -1 when the o-part is negative
@@ -217,7 +216,8 @@ def _sign_of_tail(x: OmegaNumber) -> int:
     if x.is_exact():
         return 0
     raise IndistinguishableAtTruncation(
-        "fractional part undecidable: o-part vanishes to the known order"
+        "fractional part undecidable: o-part vanishes to the known order",
+        known_through=x.known_order,
     )
 
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import DomainError, IndexOutOfRange, NotInfinitesimal
 from .functions import RegularFunction, _as_omega, derivative

@@ -17,8 +17,15 @@ class IndistinguishableAtTruncation(OmegaError):
     """All known coefficients agree but unknown tails could still differ.
 
     Raised instead of guessing an ordering; callers can retry at a
-    higher working order.
+    higher working order.  ``known_through`` is the last o-exponent
+    known on the side or sides tested, or None where no such exponent
+    exists: a rerun with ``--order`` greater than it can decide the
+    question.
     """
+
+    def __init__(self, message: str, *, known_through: int | None = None):
+        super().__init__(message)
+        self.known_through = known_through
 
 
 class NotInRo(OmegaError):

@@ -18,10 +18,10 @@ row of a linear system ``(1 + a*x)*Y' = B*Y`` with rational a and B, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
+from ._record import Record
 from .errors import (
     DomainError,
     NotInfinitesimal,
@@ -308,13 +308,12 @@ def builtin(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NsStarReport:
+class NsStarReport(Record):
     """Result of sampling the never-amplifies condition on point pairs."""
 
-    passed: bool
-    checked: int
-    first_violation: tuple[OmegaNumber, OmegaNumber] | None
+    # passed: bool; checked: the pairs sampled; first_violation: the
+    # pair (x1, x2) that failed, or None
+    __slots__ = ("passed", "checked", "first_violation")
 
 
 def ns_star_check(

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
 
+from ._record import Record
 from .errors import (
     DivisionByZero,
     DomainError,
@@ -39,7 +39,7 @@ from .errors import (
 #: and the caller did not say how far to go.
 DEFAULT_ORDER = 8
 
-Rational = Union[int, Fraction, str]
+Rational = int | Fraction | str
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -61,8 +61,7 @@ def _min_order(*orders: int | None) -> int | None:
     return min(finite) if finite else None
 
 
-@dataclass(frozen=True)
-class OmegaNumber:
+class OmegaNumber(Record):
     """Canonical truncated Laurent series.
 
     ``coeffs[i]`` is the coefficient of ``o**(valuation + i)``.  The
@@ -72,20 +71,24 @@ class OmegaNumber:
     for the numeric order.
     """
 
-    valuation: int | None
-    coeffs: tuple[Fraction, ...]
-    known_order: int | None
+    __slots__ = ("valuation", "coeffs", "known_order")
 
-    def __post_init__(self):
-        if self.coeffs:
-            if self.valuation is None:
+    def __init__(
+        self, valuation: int | None, coeffs: tuple[Fraction, ...], known_order: int | None
+    ):
+        # Built on every kernel call: no loop over the fields.
+        object.__setattr__(self, "valuation", valuation)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "known_order", known_order)
+        if coeffs:
+            if valuation is None:
                 raise ValueError("nonzero value needs a valuation")
-            if self.coeffs[0] == 0 or self.coeffs[-1] == 0:
+            if coeffs[0] == 0 or coeffs[-1] == 0:
                 raise ValueError("stored window must start and end nonzero")
-            top = self.valuation + len(self.coeffs) - 1
-            if self.known_order is not None and top > self.known_order:
+            top = valuation + len(coeffs) - 1
+            if known_order is not None and top > known_order:
                 raise ValueError("stored terms extend past the known order")
-        elif self.valuation is not None:
+        elif valuation is not None:
             raise ValueError("zero carries no valuation")
 
     # -- construction ------------------------------------------------
@@ -158,7 +161,8 @@ class OmegaNumber:
         """Exact coefficient of ``o**exponent``; raises if it is unknown."""
         if self.known_order is not None and exponent > self.known_order:
             raise IndistinguishableAtTruncation(
-                f"coefficient of o^{exponent} is beyond known order {self.known_order}"
+                f"coefficient of o^{exponent} is beyond known order {self.known_order}",
+                known_through=self.known_order,
             )
         if self.valuation is None:
             return Fraction(0)
@@ -187,7 +191,8 @@ class OmegaNumber:
         if self.is_exact():
             return INFINITE_ORDER
         raise IndistinguishableAtTruncation(
-            "ord is undetermined: all known coefficients vanish but the tail is unknown"
+            "ord is undetermined: all known coefficients vanish but the tail is unknown",
+            known_through=self.known_order,
         )
 
     def standard_part(self) -> Fraction:
@@ -195,7 +200,9 @@ class OmegaNumber:
         if self.valuation is not None and self.valuation < 0:
             raise NotInRo("infinite value has no standard part")
         if self.is_zero() and not self.is_exact() and self.known_order < 0:
-            raise IndistinguishableAtTruncation("constant coefficient is unknown")
+            raise IndistinguishableAtTruncation(
+                "constant coefficient is unknown", known_through=self.known_order
+            )
         return self.coefficient(0)
 
     def infinitesimal_part(self) -> "OmegaNumber":
@@ -551,7 +558,8 @@ def compare(x: OmegaNumber, y: OmegaNumber) -> int:
     if d.is_exact():
         return EQUAL
     raise IndistinguishableAtTruncation(
-        f"values agree through o^{d.known_order} and differ only in unknown tails"
+        f"values agree through o^{d.known_order} and differ only in unknown tails",
+        known_through=d.known_order,
     )
 
 
@@ -563,14 +571,18 @@ def much_less(x: OmegaNumber, y: OmegaNumber) -> bool:
     if y.is_zero():
         if y.is_exact():
             return False
-        raise IndistinguishableAtTruncation("ord of the right side is unknown")
+        raise IndistinguishableAtTruncation(
+            "ord of the right side is unknown", known_through=y.known_order
+        )
     if x.is_zero():
         if x.is_exact():
             return True
         # |x| < o^k for the known k, but y's valuation may be even deeper.
         if x.known_order >= y.valuation:
             return True
-        raise IndistinguishableAtTruncation("ord of the left side is unknown")
+        raise IndistinguishableAtTruncation(
+            "ord of the left side is unknown", known_through=x.known_order
+        )
     return x.valuation > y.valuation
 
 
@@ -583,8 +595,7 @@ def pow_rational(x: OmegaNumber, alpha: Rational, order: int | None = None) -> O
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtendedOmega:
+class ExtendedOmega(Record):
     """An exact prefix terminated by a ``+inf`` or ``-inf`` moment.
 
     These points (``eps = +inf*o`` and friends) close the infinitesimal
@@ -592,18 +603,17 @@ class ExtendedOmega:
     no arithmetic.
     """
 
-    prefix: OmegaNumber
-    position: int | None = None
-    sign: int = 0
+    __slots__ = ("prefix", "position", "sign")
 
-    def __post_init__(self):
-        if self.position is not None:
-            if self.sign not in (-1, 1):
+    def __init__(self, prefix: OmegaNumber, position: int | None = None, sign: int = 0):
+        super().__init__(prefix, position, sign)
+        if position is not None:
+            if sign not in (-1, 1):
                 raise DomainError("infinite moment sign must be +1 or -1")
-            if not self.prefix.is_exact():
+            if not prefix.is_exact():
                 raise DomainError("prefix of an extended value must be exact")
-            for e, _ in self.prefix.terms():
-                if e >= self.position:
+            for e, _ in prefix.terms():
+                if e >= position:
                     raise DomainError(
                         "finite coefficients may not sit at or beyond the infinite moment"
                     )
@@ -653,7 +663,8 @@ def compare_extended(
         return GREATER if d.coeffs[0] > 0 else LESS
     if d.known_order is not None and d.known_order < p:
         raise IndistinguishableAtTruncation(
-            f"coefficient of o^{d.known_order + 1} is unknown on one side"
+            f"coefficient of o^{d.known_order + 1} is unknown on one side",
+            known_through=d.known_order,
         )
     return GREATER if moments[p] > 0 else LESS
 

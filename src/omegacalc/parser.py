@@ -23,8 +23,10 @@ literal.  Offsets in errors are 0-based byte offsets into the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._record import Record
+
 
 class ParseError(Exception):
     def __init__(self, offset: int, expected: tuple[str, ...], found: str):
@@ -40,69 +42,49 @@ class ParseError(Exception):
 # -- AST --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
+class Lit(Record):
+    __slots__ = ("value",)  # a Fraction
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str  # "o", "S" or "eps"
+class Sym(Record):
+    __slots__ = ("name",)  # "o", "S" or "eps"
 
 
-@dataclass(frozen=True)
-class FuncRef:
-    name: str
+class FuncRef(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class PolyFunc:
-    coeffs: tuple
+class PolyFunc(Record):
+    __slots__ = ("coeffs",)  # a tuple of nodes
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: object
+class Neg(Record):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
+class BinOp(Record):
+    __slots__ = ("op", "left", "right")
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: Fraction
+class Pow(Record):
+    __slots__ = ("base", "exponent")  # the exponent is a Fraction
 
 
-@dataclass(frozen=True)
-class Apply:
-    func: object
-    arg: object
+class Apply(Record):
+    __slots__ = ("func", "arg")
 
 
-@dataclass(frozen=True)
-class DiffForm:
-    kind: str  # "D" (finite difference) or "d" (derivative differential)
-    order: int
-    func: object
+class DiffForm(Record):
+    # kind: "D" (finite difference) or "d" (derivative differential)
+    __slots__ = ("kind", "order", "func")
 
 
-@dataclass(frozen=True)
-class IntForm:
-    order: int
-    func: object
-    inits: tuple
+class IntForm(Record):
+    __slots__ = ("order", "func", "inits")  # inits: a tuple of nodes
 
 
-@dataclass(frozen=True)
-class SolveForm:
-    func: object
-    target: object
-    seed: Fraction
+class SolveForm(Record):
+    __slots__ = ("func", "target", "seed")  # the seed is a Fraction
 
 
 # -- tokens -----------------------------------------------------------------
@@ -110,11 +92,8 @@ class SolveForm:
 _PUNCT = "+-*/^()[];,="
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int", "name", "punct", "end"
-    text: str
-    offset: int
+class _Token(Record):
+    __slots__ = ("kind", "text", "offset")  # kind: "int", "name", "punct" or "end"
 
 
 def _tokenize(text: str) -> list[_Token]:

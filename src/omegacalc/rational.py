@@ -15,8 +15,9 @@ polynomials converging to it, which `completion_demo` materializes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._record import Record
 from .errors import DivisionByZero, NotInRo
 from .omega import DEFAULT_ORDER, OmegaNumber, Rational, compare
 from .omega import _canonical, _div_series, _frac, _mul_trunc
@@ -78,12 +79,10 @@ def _poly_gcd(a: Poly, b: Poly) -> Poly:
     return a if a else (Fraction(1),)
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(Record):
     """Reduced fraction of o-polynomials with a monic-lead denominator."""
 
-    num: Poly
-    den: Poly
+    __slots__ = ("num", "den")  # two Polys
 
     @staticmethod
     def from_polys(num, den) -> "RationalFunction":

@@ -18,7 +18,7 @@ from omegacalc.errors import (
     OrderExceedsKnown,
     TruncationUnderflow,
 )
-from omegacalc.aleph import AlephInt
+from omegacalc.aleph import AlephInt, integer_truncature
 from omegacalc.omega import (
     DEFAULT_ORDER,
     EQUAL,
@@ -975,3 +975,75 @@ class TestJson:
         d = to_json_dict(ExtendedOmega.epsilon())
         assert d["infinite_moment"] == {"position": 1, "sign": 1}
         assert d["coefficients"] == []
+
+
+def _tail(known_order, terms=None):
+    """``sum terms + O(o^(known_order+1))``."""
+    return OmegaNumber.from_terms(terms or {}, known_order=known_order)
+
+
+class TestKnownThrough:
+    """Every undecidable verdict says how far both sides were known."""
+
+    @pytest.mark.parametrize(
+        "call, message, known_through",
+        [
+            (
+                lambda: _tail(3, {0: 1}).coefficient(5),
+                "coefficient of o^5 is beyond known order 3",
+                3,
+            ),
+            (
+                lambda: _tail(4).ord(),
+                "ord is undetermined: all known coefficients vanish but the tail is unknown",
+                4,
+            ),
+            (lambda: _tail(-2).standard_part(), "constant coefficient is unknown", -2),
+            (
+                lambda: compare(_tail(3, {0: 1}), _tail(5, {0: 1})),
+                "values agree through o^3 and differ only in unknown tails",
+                3,
+            ),
+            (lambda: much_less(O, _tail(4)), "ord of the right side is unknown", 4),
+            (lambda: much_less(_tail(2), O ** 3), "ord of the left side is unknown", 2),
+            (
+                lambda: compare_extended(ExtendedOmega.epsilon(3), _tail(1)),
+                "coefficient of o^2 is unknown on one side",
+                1,
+            ),
+            (lambda: integer_truncature(_tail(-1)), "constant coefficient is unknown", -1),
+            (
+                lambda: integer_truncature(_tail(3, {0: 2})),
+                "fractional part undecidable: o-part vanishes to the known order",
+                3,
+            ),
+        ],
+        ids=[
+            "coefficient",
+            "ord",
+            "standard_part",
+            "compare",
+            "much_less_right",
+            "much_less_left",
+            "compare_extended",
+            "integer_truncature",
+            "sign_of_tail",
+        ],
+    )
+    def test_raise_sites(self, call, message, known_through):
+        with pytest.raises(IndistinguishableAtTruncation) as info:
+            call()
+        assert str(info.value) == message
+        assert info.value.known_through == known_through
+
+    def test_a_higher_order_decides(self):
+        x = OmegaNumber.from_terms({0: 1, 4: 1})
+        with pytest.raises(IndistinguishableAtTruncation) as info:
+            compare(x.truncate(3), OmegaNumber.one().truncate(3))
+        k = info.value.known_through
+        assert compare(x.truncate(k + 1), OmegaNumber.one().truncate(k + 1)) == GREATER
+
+    def test_defaults_to_none_and_is_keyword_only(self):
+        assert IndistinguishableAtTruncation("m").known_through is None
+        with pytest.raises(TypeError):
+            IndistinguishableAtTruncation("m", 3)
