@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from .errors import DomainError, IndexOutOfRange, NotInfinitesimal
@@ -190,26 +190,39 @@ def monomial_primitive(m: int, p: int = 1) -> RegularFunction:
     return RegularFunction.polynomial(coeffs, name=name)
 
 
-def _p_fold_sum(F: RegularFunction, p: int, order: int | None, c0: OmegaNumber):
-    """Coefficients of the p-fold summation of F whose coefficient 0 is c0.
+def _moment_sum(G: RegularFunction, m_lo: int, shift: int, weight: Callable, target: int):
+    """sum_{m >= m_lo} weight(m) * G(m) * o^(m + shift).
+
+    A polynomial G sums through its degree, exactly.  A stream sums
+    through o^target and is cut at min(target, known order).  The cut
+    assumes that the coefficients past it have valuation >= 0, so that
+    their terms all lie above o^target; a stream whose coefficients
+    carry S-powers breaks this and over-claims its tail.
+    """
+    m_top = G.degree if G.degree is not None else target - shift
+    total = OmegaNumber.zero()
+    for m in range(m_lo, m_top + 1):
+        total = total + G.coeff(m) * OmegaNumber.from_terms({m + shift: weight(m)})
+    if G.degree is None:
+        total = total.truncate(_min_order(target, total.known_order))
+    return total
+
+
+def _p_fold_sum(F: RegularFunction, p: int, order: int | None, init: Sequence[OmegaNumber]):
+    """Coefficients of the p-fold summation of F plus the polynomial
+    with coefficients ``init``.
 
     Coefficient l >= 1 collects a_p(p, m, l) * coeff_F(m) * o^(m+p-l)
     over m; rising o-powers make the sum finite at any truncation order.
+    ``init[l]`` is added after the cut, so its terms above the order stay.
     """
     target = order if order is not None else DEFAULT_ORDER
 
     def coeff(l: int) -> OmegaNumber:
-        if l == 0:
-            return c0
-        m_top = F.degree if F.degree is not None else l - p + target
         total = OmegaNumber.zero()
-        for m in range(max(l - p, 0), m_top + 1):
-            total = total + F.coeff(m) * OmegaNumber.from_terms(
-                {m + p - l: a_coeff_p(p, m, l)}
-            )
-        if F.degree is None:
-            total = total.truncate(_min_order(target, total.known_order))
-        return total
+        if l:
+            total = _moment_sum(F, max(l - p, 0), p - l, lambda m: a_coeff_p(p, m, l), target)
+        return total + init[l] if l < len(init) else total
 
     return coeff
 
@@ -222,7 +235,7 @@ def integrate(
     """The regular antidifference G with DG = F*o and G(base_point) = a0:
     the p = 1 summation plus a0."""
     return RegularFunction(
-        _p_fold_sum(F, 1, order, _as_omega(a0)), base_point=F.base_point,
+        _p_fold_sum(F, 1, order, [_as_omega(a0)]), base_point=F.base_point,
         radius=F.radius, name=f"int[{F.name}]",
         degree=None if F.degree is None else F.degree + 1,
     )
@@ -238,15 +251,7 @@ def D_op(G: RegularFunction, order: int | None = None) -> RegularFunction:
     target = order if order is not None else DEFAULT_ORDER
 
     def coeff(l: int) -> OmegaNumber:
-        q_top = G.degree - l if G.degree is not None else target + 1
-        total = OmegaNumber.zero()
-        for q in range(1, q_top + 1):
-            total = total + G.coeff(l + q) * OmegaNumber.from_terms(
-                {q - 1: math.comb(l + q, q)}
-            )
-        if G.degree is None:
-            total = total.truncate(_min_order(target, total.known_order))
-        return total
+        return _moment_sum(G, l + 1, -l - 1, lambda m: math.comb(m, l), target)
 
     degree = None if G.degree is None else max(G.degree - 1, 0)
     return RegularFunction(
@@ -338,13 +343,13 @@ def solve_ode(
     if F.base_point != 0:
         raise DomainError("order-p systems are posed at base point 0")
 
-    sp_part = RegularFunction(
-        _p_fold_sum(F, p, order, OmegaNumber.zero()), name=f"S^{p}[{F.name}]",
+    C = [_as_omega(c) for c in C]
+    init = [C[0]] + [OmegaNumber.zero()] * (p - 1)
+    for k in range(1, p):
+        B = grid_binomial(k)
+        for l in range(k + 1):
+            init[l] = init[l] + B.coeff(l) * C[k]
+    return RegularFunction(
+        _p_fold_sum(F, p, order, init), name=f"ode{p}[{F.name}]",
         degree=None if F.degree is None else F.degree + p,
     )
-
-    combo = RegularFunction.constant(_as_omega(C[0]))
-    for k in range(1, p):
-        combo = combo + grid_binomial(k).scale(_as_omega(C[k]))
-    G = sp_part + combo
-    return RegularFunction(G.coeff, name=f"ode{p}[{F.name}]", degree=G.degree)

@@ -16,10 +16,12 @@ when stdin ends, even after failed lines.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import operator
 import os
 import sys
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 
 from . import aleph as aleph_mod
@@ -267,54 +269,35 @@ def _aligned(rows: list[list[str]]) -> str:
     )
 
 
+def _grid(corner: str, rows: Iterable, cols: Sequence, cell: Callable) -> str:
+    """The table with header ``corner, *cols`` and, for each r in rows, the
+    row ``r, cell(r, c) for c in cols``, filled row by row."""
+    return _aligned([[corner] + [str(c) for c in cols]]
+                    + [[str(r)] + [str(cell(r, c)) for c in cols] for r in rows])
+
+
 def table_text(name: str, max_order: int, p: int = 1) -> str:
     M = max_order
     if M < 1:
         raise OmegaError("--max must be at least 1")
+    span = range(1, M + 1)
     if name == "bernoulli":
-        rows = [["p", "B_p"]]
-        rows += [[str(i), str(calculus.bernoulli(i))] for i in range(M + 1)]
-        return _aligned(rows)
-    if name == "dtoD":
-        rows = [["p\\n"] + [str(n) for n in range(1, M + 1)]]
-        for pp in range(1, M + 1):
-            row = calculus.d_to_D(pp, M)
-            rows.append([str(pp)] + ["0"] * (pp - 1) + [str(c) for c in row])
-        return _aligned(rows)
-    if name == "Dtod":
-        rows = [["n\\p"] + [str(pp) for pp in range(1, M + 1)]]
-        for n in range(1, M + 1):
-            row = calculus.D_to_d(n, M)
-            rows.append([str(n)] + ["0"] * (n - 1) + [str(c) for c in row])
-        return _aligned(rows)
+        return _grid("p", range(M + 1), ["B_p"], lambda i, _: calculus.bernoulli(i))
+    if name in ("dtoD", "Dtod"):
+        # Row r holds its entries from column r on; one read per row.
+        table = calculus.d_to_D if name == "dtoD" else calculus.D_to_d
+        row = functools.lru_cache(maxsize=1)(lambda r: table(r, M))
+        return _grid("p\\n" if name == "dtoD" else "n\\p", span, span,
+                     lambda r, c: row(r)[c - r] if c >= r else 0)
     if name == "X":
-        rows = [["p\\n"] + [str(n) for n in range(1, M + 1)]]
-        for pp in range(1, M + 1):
-            rows.append([str(pp)] + [str(calculus.x_coeff(pp, n)) for n in range(1, M + 1)])
-        return _aligned(rows)
+        return _grid("p\\n", span, span, calculus.x_coeff)
     if name == "K":
-        rows = [["p\\n"] + [str(n) for n in range(1, M + 1)]]
-        for pp in range(1, M + 1):
-            rows.append(
-                [str(pp)]
-                + [
-                    str(calculus.k_coeff(pp - 1, pp - n)) if n <= pp else "."
-                    for n in range(1, M + 1)
-                ]
-            )
-        return _aligned(rows)
+        return _grid("p\\n", span, span,
+                     lambda pp, n: calculus.k_coeff(pp - 1, pp - n) if n <= pp else ".")
     if name in ("a", "ap"):
         p = 1 if name == "a" else p
-        rows = [["m\\l"] + [str(l) for l in range(1, M + p + 1)]]
-        for m in range(M + 1):
-            rows.append(
-                [str(m)]
-                + [
-                    str(calculus.a_coeff_p(p, m, l)) if l <= m + p else "."
-                    for l in range(1, M + p + 1)
-                ]
-            )
-        return _aligned(rows)
+        return _grid("m\\l", range(M + 1), range(1, M + p + 1),
+                     lambda m, l: calculus.a_coeff_p(p, m, l) if l <= m + p else ".")
     raise OmegaError(f"unknown table {name!r}")
 
 
@@ -418,6 +401,8 @@ def _cmd_aleph(args, order, mode) -> list[str]:
 def _cmd_demo(args, order, mode) -> list[str]:
     if args.name != "leibniz-pi":
         raise OmegaError(f"unknown demo {args.name!r}")
+    if args.terms < 0:
+        raise DomainError("--terms must be nonnegative")
     total, lines = Fraction(0), []
     for k in range(args.terms):
         total += Fraction((-1) ** k, 2 * k + 1)

@@ -45,7 +45,7 @@ from omegacalc.calculus import (
     x_coeff,
 )
 from omegacalc.errors import DomainError, IndexOutOfRange, OmegaError
-from omegacalc.functions import RegularFunction, _as_omega, builtin, derivative
+from omegacalc.functions import RegularFunction, _as_omega, builtin, derivative, taylor_shift
 from omegacalc.omega import DEFAULT_ORDER, OmegaNumber, _min_order
 
 O = OmegaNumber.o()
@@ -197,6 +197,26 @@ def solve_ode_oracle(f, p, C, order=None) -> RegularFunction:
         combo = combo + grid_binomial_product(k).scale(_as_omega(C[k]))
     g = sp_part + combo
     return RegularFunction(g.coeff, name=f"ode{p}[{f.name}]", degree=g.degree)
+
+
+def D_op_oracle(g, order=None) -> RegularFunction:
+    """The former ``D_op``, with its own loop over G(l+q) * C(l+q, q) * o^(q-1)."""
+    target = order if order is not None else DEFAULT_ORDER
+
+    def coeff(l):
+        q_top = g.degree - l if g.degree is not None else target + 1
+        total = OmegaNumber.zero()
+        for q in range(1, q_top + 1):
+            total = total + g.coeff(l + q) * OmegaNumber.from_terms(
+                {q - 1: math.comb(l + q, q)}
+            )
+        if g.degree is None:
+            total = total.truncate(_min_order(target, total.known_order))
+        return total
+
+    degree = None if g.degree is None else max(g.degree - 1, 0)
+    return RegularFunction(coeff, base_point=g.base_point, radius=g.radius,
+                           name=f"Dq[{g.name}]", degree=degree)
 
 
 def key(x: OmegaNumber):
@@ -716,6 +736,89 @@ class TestSummationLoop:
         assert (got.degree, got.name) == (expected.degree, expected.name)
         for l in range(10):
             assert key(got.coeff(l)) == key(expected.coeff(l))
+
+    @pytest.mark.parametrize("order", [0, 8, 16])
+    @pytest.mark.parametrize("name", list(summation_streams()))
+    def test_D_op_matches_former_loop(self, name, order):
+        g = summation_streams()[name]
+        got, expected = D_op(g, order=order), D_op_oracle(g, order=order)
+        assert (got.degree, got.name, got.base_point, got.radius) == (
+            expected.degree, expected.name, expected.base_point, expected.radius)
+        for l in range(10):
+            assert key(got.coeff(l)) == key(expected.coeff(l))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_solve_ode_keeps_its_plain_stream_fields(self, p):
+        got = solve_ode(builtin("geometric"), p, [1] * p, order=4)
+        assert (got.base_point, got.radius, got.name) == (0, None, f"ode{p}[geometric]")
+
+
+def _agree(low: OmegaNumber, high: OmegaNumber) -> bool:
+    """True when two values have the same coefficients through the lower
+    of their known orders: what an honest tail promises."""
+    top = _min_order(low.known_order, high.known_order)
+    if top is None:
+        return low == high
+    return low.truncate(top) == high.truncate(top)
+
+
+def _finite_streams() -> dict[str, RegularFunction]:
+    """Streams whose coefficients all have valuation >= 0."""
+    return {"exp": builtin("exp"), "sin": builtin("sin"),
+            "geometric": builtin("geometric"), "inexact": summation_streams()["inexact"]}
+
+
+#: operation name -> (stream, order) -> the values it yields
+_TAIL_OPS = {
+    "integrate": lambda f, n: [integrate(f, F(1, 3), order=n).coeff(l) for l in range(7)],
+    "D_op": lambda f, n: [D_op(f, order=n).coeff(l) for l in range(7)],
+    "solve_ode p=2": lambda f, n: [
+        solve_ode(f, 2, [1, F(-1, 2)], order=n).coeff(l) for l in range(7)],
+    "solve_ode p=3": lambda f, n: [
+        solve_ode(f, 3, [2, OmegaNumber.from_terms({-1: 1}), 5], order=n).coeff(l)
+        for l in range(7)],
+    "eval": lambda f, n: [
+        f.eval(u, order=n) for u in (
+            O, OmegaNumber.from_terms({1: F(1, 2), 2: -1}),
+            OmegaNumber.from_terms({1: 1, 2: F(1, 3)}, known_order=4))],
+    "taylor_shift exact": lambda f, n: [
+        taylor_shift(f, OmegaNumber.from_terms({1: 2, 3: -1}), order=n).coeff(l)
+        for l in range(7)],
+    "taylor_shift inexact": lambda f, n: [
+        taylor_shift(f, OmegaNumber.from_terms({1: 1, 2: F(1, 3)}, known_order=3),
+                     order=n).coeff(l) for l in range(7)],
+}
+
+
+class TestTailHonesty:
+    """A result's coefficients through its known_order are final: the same
+    call at a working order 14 higher gives the same ones.
+
+    The streams here have coefficients of valuation >= 0, the assumption
+    the summation loop's cut rests on.  A stream whose coefficients carry
+    S-powers can over-claim (see ``test_s_carrying_stream_over_claims``).
+    """
+
+    @pytest.mark.parametrize("op", list(_TAIL_OPS))
+    @pytest.mark.parametrize("name", list(_finite_streams()))
+    def test_no_over_claim(self, name, op):
+        f = _finite_streams()[name]
+        for order in range(10):
+            low, high = _TAIL_OPS[op](f, order), _TAIL_OPS[op](f, order + 14)
+            for i, (a, b) in enumerate(zip(low, high)):
+                assert _agree(a, b), (order, i, str(a), str(b))
+
+    @pytest.mark.xfail(strict=True, reason="coefficients past the cut may have lower "
+                       "valuation than every coefficient read, so the cut claims too much")
+    @pytest.mark.parametrize("call", [
+        lambda g, n: integrate(g, 0, order=n).coeff(1),  # misses -1/30*o^3 at order 3
+        lambda g, n: D_op(g, order=n).coeff(0),  # misses o^4 at order 4
+        lambda g, n: g.eval(O, order=n),  # misses the constant 1 at order 0
+    ], ids=["integrate", "D_op", "eval"])
+    def test_s_carrying_stream_over_claims(self, call):
+        g = RegularFunction(lambda n: OmegaNumber.from_terms({-1: 1}))
+        for order in range(5):
+            assert _agree(call(g, order), call(g, order + 14))
 
 
 class TestArgumentRules:

@@ -342,6 +342,7 @@ NO_TRACEBACK = [
     (["expand", "exp"], "not a rational-function expression"),
     (["ode", "exp", "--p", "1", "--init", "1", "--init", "2"],
      "more initial conditions than the system order"),
+    (["demo", "leibniz-pi", "--terms", "-1"], "--terms must be nonnegative"),
 ]
 
 
@@ -524,6 +525,18 @@ TABLE_DIGESTS = {
     "ap --p 3": "718475cf1e9be693b0c49859cf3c64cc8733ddcc2700cb66ac0d8fc9f9d460c9",
 }
 
+#: ``table … --max 1``: the smallest grid, where header and padding meet.
+TABLE_DIGESTS_MAX_1 = {
+    "bernoulli": "3f8a99bfb1f946d271a3ef19ad4d318058d6579240cae748c77000c5c0b9ed76",
+    "dtoD": "0f183b26977fcd66075fada221dc06422949497d9951b27e3c4cbe8fdd223d9b",
+    "Dtod": "e7a5c30b0c2930b352ef9aeb16dc168dec3b9054a1efbee1e98b43662136d67e",
+    "X": "0f183b26977fcd66075fada221dc06422949497d9951b27e3c4cbe8fdd223d9b",
+    "K": "0f183b26977fcd66075fada221dc06422949497d9951b27e3c4cbe8fdd223d9b",
+    "a": "a4f572bf077a7e2877c6a559daa3780cf3db358e5c4c51dd90206ee1e00ae66c",
+    "ap --p 2": "fe68a3beafd8195b3971b6a49030c52a912893883097d738a1819ddc5d99aa86",
+    "ap --p 3": "c4690dafe46c4c2b5e318ba8081048b79157ce56072cd105401df83a43980d47",
+}
+
 
 class TestTableDigests:
     @pytest.mark.parametrize("table", TABLE_DIGESTS)
@@ -532,3 +545,10 @@ class TestTableDigests:
         code, out = run_cli(["table", name, "--max", "40", *rest])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[table]
+
+    @pytest.mark.parametrize("table", TABLE_DIGESTS)
+    def test_table_max_1_is_byte_identical(self, table):
+        name, *rest = table.split()
+        code, out = run_cli(["table", name, "--max", "1", *rest])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS_MAX_1[table]
