@@ -183,6 +183,8 @@ def leibniz_differential(
 def monomial_primitive(m: int, p: int = 1) -> RegularFunction:
     """q_m^(p): the order-p antiderivative of x^m with vanishing initial
     differences, as an exact o-weighted polynomial."""
+    _check_range(p >= 1, "p must be >= 1")
+    _check_range(m >= 0, "m must be nonnegative")
     coeffs = [OmegaNumber.zero()] + [
         OmegaNumber.from_terms({m + p - l: a_coeff_p(p, m, l)}) for l in range(1, m + p + 1)
     ]
@@ -269,7 +271,7 @@ def brute_sum(
     """Literal grid sum of F over [[t, t + k*o[[ times o.
 
     The finite-k oracle validating `integrate`: k >= 0 sums forward,
-    k < 0 mirrors through the negative branch.
+    k < 0 sums the mirrored grid [[t + k*o, t[[ and negates.
     """
     t = _frac(t)
     d0 = OmegaNumber.from_rational(t - F.base_point)
@@ -277,13 +279,9 @@ def brute_sum(
         raise NotInfinitesimal("grid sums of infinite streams start at the base point")
     o = OmegaNumber.o()
     total = OmegaNumber.zero()
-    if k >= 0:
-        for n in range(k):
-            total = total + F.eval(d0 + o * n, order=order) * o
-        return total
-    for j in range(1, -k + 1):
-        total = total + F.eval(d0 - o * j, order=order) * o
-    return -total
+    for n in range(min(k, 0), max(k, 0)):
+        total = total + F.eval(d0 + o * n, order=order) * o
+    return total if k >= 0 else -total
 
 
 def brute_sum_iterated(
@@ -316,6 +314,7 @@ def brute_sum_iterated(
 def grid_binomial(k: int) -> RegularFunction:
     """B^k(x) = x(x-o)...(x-(k-1)o)/k!, the grid binomial polynomial:
     coefficient l is s(k, l)/k! * o^(k-l)."""
+    _check_range(k >= 0, "grid binomial index must be nonnegative")
     k_fact = math.factorial(k)
     return RegularFunction.polynomial(
         [OmegaNumber.from_terms({k - l: Fraction(_stirling(1, k, l), k_fact)})

@@ -47,21 +47,27 @@ def _as_omega(value) -> OmegaNumber:
     return OmegaNumber.from_rational(value)
 
 
-def _power_sum(c: Callable, v: OmegaNumber, top: int, target: int | None) -> OmegaNumber:
+def _power_sum(c: Callable, v: OmegaNumber, top: int, target: int) -> OmegaNumber:
     """``c(0) + c(1)*v + ... + c(top)*v**top``, stopping at the first power
     of v that is exactly zero.  The powers and the sum are truncated at
-    ``target``; None keeps everything exact."""
+    ``target``."""
     total = c(0)
     v_pow = OmegaNumber.one()
     for k in range(1, top + 1):
         v_pow = v_pow * v
         if v_pow.is_zero() and v_pow.is_exact():
             break
-        if target is not None:
-            v_pow = v_pow.truncate(_min_order(target, v_pow.known_order))
+        v_pow = v_pow.truncate(_min_order(target, v_pow.known_order))
         total = total + c(k) * v_pow
-    if target is not None:
-        total = total.truncate(_min_order(target, total.known_order))
+    return total.truncate(_min_order(target, total.known_order))
+
+
+def _horner(c: Callable, v: OmegaNumber, top: int) -> OmegaNumber:
+    """``c(0) + c(1)*v + ... + c(top)*v**top`` by Horner's rule, exactly:
+    the working order never discards a polynomial's finite knowledge."""
+    total = OmegaNumber.zero()
+    for n in range(top, -1, -1):
+        total = total * v + c(n)
     return total
 
 
@@ -131,7 +137,7 @@ class RegularFunction:
         """Value at the point base_point + u."""
         u = _as_omega(u)
         if self.degree is not None:
-            return self._eval_polynomial(u, order)
+            return _horner(self.coeff, u, self.degree)
         if not u.is_infinitesimal():
             raise NotInfinitesimal(
                 "infinite coefficient streams evaluate only inside the "
@@ -143,13 +149,6 @@ class RegularFunction:
         if target is None:
             target = u.known_order if u.known_order is not None else DEFAULT_ORDER
         return _power_sum(self.coeff, u, target, target)
-
-    def _eval_polynomial(self, u: OmegaNumber, order: int | None) -> OmegaNumber:
-        # Exact: the working order never discards finite knowledge.
-        total = OmegaNumber.zero()
-        for n in range(self.degree, -1, -1):  # Horner
-            total = total * u + self.coeff(n)
-        return total
 
     # -- pointwise algebra (used by tests and operator plumbing) --------
 
@@ -230,11 +229,14 @@ def taylor_shift(
     if v.is_zero() and v.is_exact():
         return F
     target = order if order is not None else DEFAULT_ORDER
-    cut = target if F.degree is None else None  # a polynomial's sums stay exact
 
     def coeff(n: int) -> OmegaNumber:
-        top = target if F.degree is None else F.degree - n
-        return _power_sum(lambda q: F.coeff(n + q) * math.comb(n + q, q), v, top, cut)
+        def term(q: int) -> OmegaNumber:
+            return F.coeff(n + q) * math.comb(n + q, q)
+
+        if F.degree is None:
+            return _power_sum(term, v, target, target)
+        return _horner(term, v, F.degree - n)
 
     return RegularFunction(
         coeff, base_point=F.base_point, radius=F.radius,
@@ -356,7 +358,8 @@ def solve_lift(
     d0 = OmegaNumber.from_rational(seed - F.base_point)
     if F.degree is None and not d0.is_zero():
         raise NotInfinitesimal("seed must equal the base point of an infinite stream")
-    target = order if order is not None else DEFAULT_ORDER
+    # A target known below the order bounds what can be solved for.
+    target = _min_order(order if order is not None else DEFAULT_ORDER, y.known_order)
     if F.eval(d0, order=0).standard_part() != y.standard_part():
         raise SeedMismatch("F(seed) and y have different standard parts")
     Fp = derivative(F, 1)

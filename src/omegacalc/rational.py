@@ -9,8 +9,13 @@ The expansion is a field embedding, so comparison is routed through it
 rather than through cross-multiplication, reusing the one lexicographic
 order implementation.
 
+Polynomials use omega's kernel: ``_mul_trunc`` multiplies, and a
+quotient is ``_div_series`` on reversed coefficients (series division in
+S); Euclid's remainder is the part of ``a - b*q`` below deg b.
+
 The truncation sequence of any finite value is a Cauchy sequence of
-polynomials converging to it, which `completion_demo` materializes.
+polynomials converging to it, which `completion_demo` materializes
+through the known order.
 """
 
 from __future__ import annotations
@@ -50,30 +55,25 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
     return _poly(_mul_trunc(a, b))
 
 
+def _poly_of(x: OmegaNumber) -> Poly:
+    """Coefficients of a value with no S-powers, from o^0 up."""
+    return (Fraction(0),) * (x.valuation or 0) + x.coeffs
+
+
 def _poly_pow(a: Poly, n: int) -> Poly:
-    power = _canonical(0, a, None) ** n  # the kernel's exact binary powering
-    return (Fraction(0),) * (power.valuation or 0) + power.coeffs
+    return _poly_of(_canonical(0, a, None) ** n)  # the kernel's exact binary powering
 
 
-def _poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    while len(r) >= len(b) and any(c != 0 for c in r):
-        shift = len(r) - len(b)
-        factor = r[-1] / b[-1]
-        q[shift] = factor
-        for i, c in enumerate(b):
-            r[i + shift] -= factor * c
-        while r and r[-1] == 0:
-            r.pop()
-    return _poly(q), _poly(r)
+def _poly_quo(a: Poly, b: Poly) -> list:
+    """Quotient of polynomial division: series division of the reversed
+    coefficients, through the quotient's degree (empty when deg a < deg b)."""
+    return _div_series(a[::-1], b[::-1], len(a) - len(b))[::-1]
 
 
 def _poly_gcd(a: Poly, b: Poly) -> Poly:
     while b:
-        a, b = b, _poly_divmod(a, b)[1]
+        m = len(b)  # Euclid: the remainder a - b*q lies below o^(m-1)
+        a, b = b, _poly_add(a[:m - 1], _poly_neg(_mul_trunc(b, _poly_quo(a, b), m - 2)))
     if a and a[-1] != 1:
         a = tuple(c / a[-1] for c in a)
     return a if a else (Fraction(1),)
@@ -91,8 +91,7 @@ class RationalFunction(Record):
             raise DivisionByZero("zero denominator")
         if n:
             g = _poly_gcd(n, d)
-            n = _poly_divmod(n, g)[0]
-            d = _poly_divmod(d, g)[0]
+            n, d = _poly_quo(n, g), _poly_quo(d, g)
         else:
             d = (Fraction(1),)
         lead = d[-1]
@@ -176,17 +175,12 @@ def completion_demo(target: OmegaNumber, upto: int | None = None) -> list[Ration
     """Successive truncations of a finite value, as polynomials.
 
     The returned sequence is Cauchy and converges to the value; it
-    stabilizes immediately when the value is already a polynomial.
+    stabilizes immediately when the value is already a polynomial.  An
+    ``upto`` past the known order raises OrderExceedsKnown.
     """
     if target.valuation is not None and target.valuation < 0:
         raise NotInRo("completion demo is for finite values")
     if upto is None:
         upto = target.known_order if target.known_order is not None else DEFAULT_ORDER
-    out = []
-    for n in range(upto + 1):
-        coeffs = [Fraction(0)] * (n + 1)
-        for e, c in target.terms():
-            if 0 <= e <= n:
-                coeffs[e] = c
-        out.append(RationalFunction.from_polys(coeffs, [1]))
-    return out
+    return [RationalFunction.from_polys(_poly_of(target.truncate(n)), [1])
+            for n in range(upto + 1)]

@@ -219,6 +219,19 @@ def D_op_oracle(g, order=None) -> RegularFunction:
                            name=f"Dq[{g.name}]", degree=degree)
 
 
+def brute_sum_oracle(f, t, k, order=None):
+    """The former ``brute_sum``: a forward loop, and a mirrored one for k < 0."""
+    d0 = OmegaNumber.from_rational(F(t) - f.base_point)
+    total = OmegaNumber.zero()
+    if k >= 0:
+        for n in range(k):
+            total = total + f.eval(d0 + O * n, order=order) * O
+        return total
+    for j in range(1, -k + 1):
+        total = total + f.eval(d0 - O * j, order=order) * O
+    return -total
+
+
 def key(x: OmegaNumber):
     return (x.valuation, x.coeffs, x.known_order, [type(c) for c in x.coeffs])
 
@@ -459,6 +472,11 @@ class TestMonomialPrimitives:
         assert q4.coeff(1) == OmegaNumber.from_terms({4: F(-1, 30)})
         assert q4.coeff(2).is_zero()
 
+    @pytest.mark.parametrize("m,p", [(-1, 1), (-3, 2), (-1, 5), (0, 0), (2, 0)])
+    def test_index_guards(self, m, p):
+        with pytest.raises(IndexOutOfRange):
+            monomial_primitive(m, p)
+
     def test_grid_value_example(self):
         assert monomial_primitive(2).eval(O * 5) == OmegaNumber.o(3) * 30
 
@@ -598,6 +616,17 @@ class TestBruteSum:
             for k in (-1, -7):
                 assert brute_sum(f, 0, k) == g.eval(O * k)
 
+    @pytest.mark.parametrize("order", [None, 0, 2, 5])
+    @pytest.mark.parametrize("name,t", [
+        ("exp", 0), ("sin", 0), ("geometric", 0), ("int[exp]+S", 0),
+        ("poly", 0), ("poly", F(1, 2)), ("poly", -3),
+    ])
+    def test_matches_former_loops(self, name, t, order):
+        f = (integrate(builtin("exp"), OmegaNumber.sigma()) if name == "int[exp]+S"
+             else summation_streams()["poly"] if name == "poly" else builtin(name))
+        for k in range(-12, 13):
+            assert key(brute_sum(f, t, k, order)) == key(brute_sum_oracle(f, t, k, order))
+
 
 class TestFundamentalPair:
     def test_s_of_zero(self):
@@ -649,6 +678,10 @@ class TestGridBinomial:
         b2 = grid_binomial(2)
         assert b2.coeff(2) == OmegaNumber.from_rational(F(1, 2))
         assert b2.coeff(1) == OmegaNumber.from_terms({1: F(-1, 2)})
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(IndexOutOfRange, match="grid binomial index must be nonnegative"):
+            grid_binomial(-1)
 
     def test_difference_steps_down(self):
         for k in (1, 2, 3, 4):

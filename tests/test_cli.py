@@ -470,6 +470,8 @@ class TestExpandOrder:
         ("(-o)", "-o"),
         ("((1+2*o-o^3)/(1-2*o+3*o^2+o^3))^40",
          "1 + 160*o + 12680*o^2 + 663360*o^3 + 25760500*o^4 + O(o^5)"),
+        ("(2+3*o+o^2)/(2-o-o^2) + 1/(1-o)",  # common factor 2 + o
+         "2 + 3*o + 3*o^2 + 3*o^3 + 3*o^4 + O(o^5)"),
     ])
     def test_expand_prints(self, expr, expected):
         assert run_cli(["expand", expr, "--order", "4"]) == (0, expected + "\n")
@@ -552,3 +554,22 @@ class TestTableDigests:
         code, out = run_cli(["table", name, "--max", "1", *rest])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS_MAX_1[table]
+
+
+class TestTargetKnownBelowTheOrder:
+    """A solve or lift target known only below --order is solved at its
+    own order, not refused with an internal truncation error."""
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["--order", "4", "eval", "solve[poly[0,1] = S*(exp(o) - 1) - 1; 0]"],
+         "1/2*o + 1/6*o^2 + 1/24*o^3 + O(o^4)"),
+        (["--order", "4", "lift", "exp", "--target", "1 + S*(exp(o) - 1 - o)", "--seed", "0"],
+         "1/2*o + 1/24*o^2 + O(o^4)"),
+    ])
+    def test_prints(self, argv, expected):
+        assert run_cli(argv) == (0, expected + "\n")
+
+    def test_unknown_constant_stays_undecidable(self, capsys):
+        argv = ["--order", "0", "lift", "exp", "--target", "1 + S*(exp(o) - 1 - o)", "--seed", "0"]
+        assert run_cli(argv) == (3, "")
+        assert "constant coefficient is unknown" in capsys.readouterr().err

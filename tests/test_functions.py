@@ -6,6 +6,8 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from omegacalc.errors import (
     DomainError,
@@ -24,9 +26,10 @@ from omegacalc.functions import (
     solve_lift,
     taylor_shift,
 )
-from omegacalc.omega import OmegaNumber, much_less, rational_root_power
+from omegacalc.omega import DEFAULT_ORDER, OmegaNumber, much_less, rational_root_power
 
 from conftest import random_omega
+from test_calculus import key
 
 O = OmegaNumber.o()
 ONE = OmegaNumber.one()
@@ -462,3 +465,89 @@ class TestDifferentiabilityWitnesses:
             if remainder.is_zero():
                 continue
             assert much_less(remainder, power) or remainder.ord() > power.ord()
+
+
+# ---------------------------------------------------------------------------
+# The exact power sum that Horner's rule replaced for polynomials, kept as
+# an oracle
+# ---------------------------------------------------------------------------
+
+
+def exact_power_sum(c, v, top):
+    """c(0) + c(1)*v + ... + c(top)*v**top, powers formed one by one."""
+    total = c(0)
+    v_pow = OmegaNumber.one()
+    for k in range(1, top + 1):
+        v_pow = v_pow * v
+        if v_pow.is_zero() and v_pow.is_exact():
+            break
+        total = total + c(k) * v_pow
+    return total
+
+
+def polynomial_shift_oracle(f, v, n):
+    return exact_power_sum(lambda q: f.coeff(n + q) * math.comb(n + q, q), v, f.degree - n)
+
+
+def omega_values(min_exp, max_exp):
+    """Exact and inexact values, S-powers included when min_exp < 0."""
+    terms = st.dictionaries(st.integers(min_exp, max_exp),
+                            st.fractions(min_value=-5, max_value=5, max_denominator=3),
+                            max_size=4)
+    return st.builds(OmegaNumber.from_terms, terms, st.none() | st.integers(min_exp, 6))
+
+
+class TestHornerShift:
+    """A polynomial's shifted coefficients are Horner sums; each is
+    structurally the exact power sum they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(omega_values(-2, 4), min_size=1, max_size=5),
+           omega_values(1, 4).filter(lambda v: not (v.is_zero() and v.is_exact())))
+    @example([ONE, OmegaNumber.from_terms({0: -2}), ONE], O)  # (x - 1)^2 shifted by o
+    @example([OmegaNumber.from_terms({-1: 1}), OmegaNumber.from_terms({0: 3}, known_order=1)],
+             OmegaNumber.from_terms({}, known_order=2))  # inexact zero shift
+    def test_matches_exact_power_sum(self, coeffs, v):
+        f = RegularFunction.polynomial(coeffs)
+        shifted = taylor_shift(f, v)
+        for n in range(f.degree + 2):
+            want = polynomial_shift_oracle(f, v, n) if n <= f.degree else OmegaNumber.zero()
+            assert key(shifted.coeff(n)) == key(want)
+
+    def test_leading_terms_cancel(self):
+        # (x - o)^2 shifted by o is x^2: its lower coefficients cancel exactly
+        f = RegularFunction.polynomial([OmegaNumber.o(2), -(O * 2), 1])
+        shifted = taylor_shift(f, O)
+        assert [shifted.coeff(n) for n in range(3)] == [OmegaNumber.zero(), OmegaNumber.zero(), ONE]
+
+
+class TestEvalDefaultOrder:
+    def test_exact_displacement_works_at_the_default_order(self):
+        f = builtin("exp")
+        got = f.eval(O)
+        assert got == f.eval(O, order=DEFAULT_ORDER)
+        assert got == OmegaNumber.from_terms(
+            {k: F(1, math.factorial(k)) for k in range(DEFAULT_ORDER + 1)},
+            known_order=DEFAULT_ORDER)
+
+    def test_inexact_displacement_works_at_its_known_order(self):
+        f = builtin("geometric")
+        u = OmegaNumber.from_terms({1: 1}, known_order=3)
+        assert f.eval(u) == f.eval(u, order=3) == OmegaNumber.from_terms(
+            {k: 1 for k in range(4)}, known_order=3)
+
+
+class TestLiftBelowTheOrder:
+    """A target known below the working order is solved at its own order."""
+
+    def test_identity_returns_the_inexact_target(self):
+        y = OmegaNumber.from_terms({1: F(1, 2), 2: F(1, 6), 3: F(1, 24)}, known_order=3)
+        got = solve_lift(RegularFunction.polynomial([0, 1]), y, 0, order=4)
+        assert got == y
+
+    def test_exp_lift_inverts_the_target(self):
+        # 1 + S*(exp(o) - 1 - o) at order 4
+        y = OmegaNumber.from_terms({0: 1, 1: F(1, 2), 2: F(1, 6), 3: F(1, 24)}, known_order=3)
+        got = solve_lift(builtin("exp"), y, 0, order=4)
+        assert got == OmegaNumber.from_terms({1: F(1, 2), 2: F(1, 24)}, known_order=3)
+        assert builtin("exp").eval(got, order=4) == y

@@ -33,6 +33,7 @@ from omegacalc.omega import (
     from_json_dict,
     much_less,
     normalize,
+    pow_rational,
     rational_root_power,
     render_plain,
     sup_finite,
@@ -1047,3 +1048,41 @@ class TestKnownThrough:
         assert IndistinguishableAtTruncation("m").known_through is None
         with pytest.raises(TypeError):
             IndistinguishableAtTruncation("m", 3)
+
+
+class TestOperatorForms:
+    """The reflected and division operators are the ring operations they
+    spell, and the module-level pow_rational is the method."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(omega_terms().map(OmegaNumber.from_terms),
+           omega_terms().map(OmegaNumber.from_terms).filter(lambda y: not y.is_zero()),
+           st.fractions(min_value=-5, max_value=5, max_denominator=4))
+    def test_division_and_reflected_forms(self, x, y, r):
+        assert x / y == x * y.invert()
+        assert r / y == OmegaNumber.from_rational(r) * y.invert()
+        assert 3 / y == y.invert() * 3
+        assert r - x == OmegaNumber.from_rational(r) + (-x)
+        assert 2 - x == -(x - 2)
+
+    def test_small_cases(self):
+        assert 1 / O == SIGMA
+        assert ONE / (ONE - O) == (ONE - O).invert()
+        assert 1 - O == OmegaNumber.from_terms({0: 1, 1: -1})
+        assert F(1, 2) - SIGMA == OmegaNumber.from_terms({-1: -1, 0: F(1, 2)})
+        with pytest.raises(DivisionByZero):
+            1 / ZERO
+
+    def test_unsupported_operands(self):
+        with pytest.raises(TypeError):
+            "1" - O
+        with pytest.raises(TypeError):
+            "1" / O
+
+    @pytest.mark.parametrize("alpha,order", [(3, None), (-2, 4), (F(1, 2), None), (F(-1, 3), 5)])
+    def test_module_pow_rational_is_the_method(self, alpha, order):
+        x = OmegaNumber.from_terms({0: 64, 1: 1, 3: F(-2, 3)})
+        got = pow_rational(x, alpha, order)
+        assert got == x.pow_rational(alpha, order)
+        if F(alpha).denominator == 1 and alpha > 0:
+            assert got == x * x * x

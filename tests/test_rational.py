@@ -6,10 +6,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omegacalc.errors import DivisionByZero, IndistinguishableAtTruncation, NotInRo
-from omegacalc.omega import DEFAULT_ORDER, OmegaNumber, _div_series, cauchy_limit, compare
+from omegacalc.errors import (
+    DivisionByZero,
+    IndistinguishableAtTruncation,
+    NotInRo,
+    OrderExceedsKnown,
+)
+from omegacalc.omega import (
+    DEFAULT_ORDER,
+    OmegaNumber,
+    _div_series,
+    _mul_trunc,
+    cauchy_limit,
+    compare,
+)
 from omegacalc.rational import (
     RationalFunction,
+    _poly,
+    _poly_gcd,
+    _poly_quo,
     completion_demo,
     expand,
     rf_compare,
@@ -278,3 +293,132 @@ class TestCompletion:
     def test_infinite_values_rejected(self):
         with pytest.raises(NotInRo):
             completion_demo(OmegaNumber.sigma())
+
+
+# ---------------------------------------------------------------------------
+# The polynomial long division and the truncation loop that the kernel's
+# series division and `truncate` replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+
+def poly_divmod_oracle(a, b):
+    """Schoolbook long division: cancel the remainder's top term by a
+    multiple of b until it is shorter than b."""
+    q = [F(0)] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    while len(r) >= len(b) and any(c != 0 for c in r):
+        shift = len(r) - len(b)
+        factor = r[-1] / b[-1]
+        q[shift] = factor
+        for i, c in enumerate(b):
+            r[i + shift] -= factor * c
+        while r and r[-1] == 0:
+            r.pop()
+    return _poly(q), _poly(r)
+
+
+def poly_gcd_oracle(a, b):
+    while b:
+        a, b = b, poly_divmod_oracle(a, b)[1]
+    if a and a[-1] != 1:
+        a = tuple(c / a[-1] for c in a)
+    return a if a else (F(1),)
+
+
+def from_polys_oracle(num, den):
+    n, d = _poly(num), _poly(den)
+    if n:
+        g = poly_gcd_oracle(n, d)
+        n, d = poly_divmod_oracle(n, g)[0], poly_divmod_oracle(d, g)[0]
+    else:
+        d = (F(1),)
+    return tuple(c / d[-1] for c in n), tuple(c / d[-1] for c in d)
+
+
+def completion_demo_oracle(target, upto):
+    out = []
+    for n in range(upto + 1):
+        coeffs = [F(0)] * (n + 1)
+        for e, c in target.terms():
+            if 0 <= e <= n:
+                coeffs[e] = c
+        out.append(RationalFunction.from_polys(coeffs, [1]))
+    return out
+
+
+def poly_key(p):
+    return tuple(p), [type(c) for c in p]
+
+
+def small_polys(min_size=0):
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    return st.lists(coeff, min_size=min_size, max_size=5).map(_poly)
+
+
+def polys_with_common_factor():
+    """(a, b) = (p*g, q*g): shared factors, o-powers among them."""
+    nonzero = small_polys(min_size=1).filter(bool)
+    factor = st.one_of(nonzero, st.integers(1, 3).map(lambda k: _poly([0] * k + [1])))
+    return st.builds(lambda p, q, g: (_poly(_mul_trunc(p, g)), _poly(_mul_trunc(q, g))),
+                     small_polys(), nonzero, factor)
+
+
+class TestKernelDivision:
+    """Polynomial quotient, gcd and reduction go through the kernel's series
+    division; each is structurally what the former long division gave."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_polys(), small_polys(min_size=1).filter(bool))
+    @example((F(1),), (F(1), F(1)))  # deg a < deg b: empty quotient
+    @example((), (F(2),))  # zero dividend
+    @example((F(0), F(0), F(3)), (F(0), F(1)))  # o-power divisor
+    def test_quotient_and_gcd_match_long_division(self, a, b):
+        assert poly_key(_poly_quo(a, b)) == poly_key(poly_divmod_oracle(a, b)[0])
+        assert poly_key(_poly_gcd(a, b)) == poly_key(poly_gcd_oracle(a, b))
+        assert poly_key(_poly_gcd(b, a)) == poly_key(poly_gcd_oracle(b, a))
+
+    @settings(max_examples=150, deadline=None)
+    @given(polys_with_common_factor())
+    @example(((F(2), F(3), F(1)), (F(2), F(-1), F(-1))))  # shared 2 + o
+    def test_from_polys_matches_long_division(self, pair):
+        num, den = pair
+        got = RationalFunction.from_polys(num, den)
+        want = from_polys_oracle(num, den)
+        assert (poly_key(got.num), poly_key(got.den)) == (poly_key(want[0]), poly_key(want[1]))
+
+    def test_shared_factor_cancels(self):
+        # (2+3o+o^2)/(2-o-o^2) = (1+o)/(1-o) after the common 2+o
+        got = RationalFunction.from_polys([2, 3, 1], [2, -1, -1])
+        assert (got.num, got.den) == ((F(-1), F(-1)), (F(-1), F(1)))
+        assert expand(got + ONE / (ONE - RO), 3) == OmegaNumber.from_terms(
+            {0: 2, 1: 3, 2: 3, 3: 3}, known_order=3)
+
+
+def completion_targets():
+    terms = st.dictionaries(st.integers(0, 6),
+                            st.fractions(min_value=-5, max_value=5, max_denominator=4),
+                            max_size=5)
+    return st.builds(OmegaNumber.from_terms, terms, st.none() | st.integers(-1, 8))
+
+
+class TestCompletionTruncates:
+    @settings(max_examples=200, deadline=None)
+    @given(completion_targets(), st.integers(0, 9))
+    def test_matches_former_loop_within_the_known_order(self, target, upto):
+        if target.known_order is not None:
+            upto = min(upto, target.known_order)
+        got = completion_demo(target, upto=upto)
+        want = completion_demo_oracle(target, upto)
+        assert [(poly_key(r.num), poly_key(r.den)) for r in got] == [
+            (poly_key(r.num), poly_key(r.den)) for r in want]
+
+    def test_default_length_follows_the_known_order(self):
+        target = OmegaNumber.from_terms({0: 1, 3: F(1, 2)}, known_order=5)
+        assert completion_demo(target) == completion_demo_oracle(target, 5)
+        exact = OmegaNumber.from_terms({1: 2})
+        assert completion_demo(exact) == completion_demo_oracle(exact, DEFAULT_ORDER)
+
+    def test_no_truncation_past_the_known_order(self):
+        # 1 + 2o + O(o^2) says nothing about o^2: no polynomial may claim it is 0
+        with pytest.raises(OrderExceedsKnown):
+            completion_demo(OmegaNumber.from_terms({0: 1, 1: 2}, known_order=1), upto=4)
