@@ -238,8 +238,7 @@ def integrate(
     the p = 1 summation plus a0."""
     return RegularFunction(
         _p_fold_sum(F, 1, order, [_as_omega(a0)]), base_point=F.base_point,
-        radius=F.radius, name=f"int[{F.name}]",
-        degree=None if F.degree is None else F.degree + 1,
+        name=f"int[{F.name}]", degree=None if F.degree is None else F.degree + 1,
     )
 
 
@@ -257,8 +256,7 @@ def D_op(G: RegularFunction, order: int | None = None) -> RegularFunction:
 
     degree = None if G.degree is None else max(G.degree - 1, 0)
     return RegularFunction(
-        coeff, base_point=G.base_point, radius=G.radius,
-        name=f"Dq[{G.name}]", degree=degree,
+        coeff, base_point=G.base_point, name=f"Dq[{G.name}]", degree=degree
     )
 
 

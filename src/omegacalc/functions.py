@@ -2,10 +2,12 @@
 
 A ``RegularFunction`` is determined by a rational base point and a total
 map ``n -> coeff(n)`` of series coefficients, which may themselves carry
-infinitesimal parts.  Polynomials (finite ``degree``) evaluate exactly
+infinitesimal parts.  Every value of a regular function comes from
+``RegularFunction.eval``: polynomials (finite ``degree``) evaluate exactly
 anywhere; genuinely infinite streams evaluate at infinitesimal
 displacements from the base point, truncated at a working order, which
-is enough because ``u**k`` only contributes from ``o**k`` upward.
+is enough because ``u**k`` only contributes from ``o**k`` upward.  A
+Taylor shift reads its coefficients as values of derivatives.
 
 Derivatives act on the standard part of the argument: the stream of the
 q-th derivative is ``(n+q)!/n! * coeff(n+q)``.
@@ -47,13 +49,13 @@ def _as_omega(value) -> OmegaNumber:
     return OmegaNumber.from_rational(value)
 
 
-def _power_sum(c: Callable, v: OmegaNumber, top: int, target: int) -> OmegaNumber:
-    """``c(0) + c(1)*v + ... + c(top)*v**top``, stopping at the first power
-    of v that is exactly zero.  The powers and the sum are truncated at
-    ``target``."""
+def _power_sum(c: Callable, v: OmegaNumber, target: int) -> OmegaNumber:
+    """``c(0) + c(1)*v + ... + c(target)*v**target``, stopping at the first
+    power of v that is exactly zero.  The powers and the sum are truncated
+    at ``target``: an infinitesimal v puts ``v**k`` at o^k or beyond."""
     total = c(0)
     v_pow = OmegaNumber.one()
-    for k in range(1, top + 1):
+    for k in range(1, target + 1):
         v_pow = v_pow * v
         if v_pow.is_zero() and v_pow.is_exact():
             break
@@ -83,13 +85,11 @@ class RegularFunction:
         self,
         coeff_fn: Callable[[int], OmegaNumber],
         base_point: Rational = 0,
-        radius: Rational | None = None,
         name: str = "f",
         degree: int | None = None,
     ):
         self._coeff_fn = coeff_fn
         self.base_point = _frac(base_point)
-        self.radius = None if radius is None else _frac(radius)
         self.name = name
         self.degree = degree
         self._cache: dict[int, OmegaNumber] = {}
@@ -143,14 +143,12 @@ class RegularFunction:
                 "infinite coefficient streams evaluate only inside the "
                 "infinitesimal cut of their base point"
             )
-        if self.radius is not None and abs(u.standard_part()) >= self.radius:
-            raise DomainError("displacement leaves the declared radius")
         target = order
         if target is None:
             target = u.known_order if u.known_order is not None else DEFAULT_ORDER
-        return _power_sum(self.coeff, u, target, target)
+        return _power_sum(self.coeff, u, target)
 
-    # -- pointwise algebra (used by tests and operator plumbing) --------
+    # -- pointwise algebra ---------------------------------------------
 
     def _require_same_base(self, other: "RegularFunction"):
         if self.base_point != other.base_point:
@@ -209,8 +207,7 @@ def derivative(F: RegularFunction, q: int = 1) -> RegularFunction:
         return F.coeff(n + q) * factor
 
     return RegularFunction(
-        coeff, base_point=F.base_point, radius=F.radius,
-        name=f"{F.name}^({q})", degree=degree,
+        coeff, base_point=F.base_point, name=f"{F.name}^({q})", degree=degree
     )
 
 
@@ -219,9 +216,8 @@ def taylor_shift(
 ) -> RegularFunction:
     """The function u -> F(u + v) for an infinitesimal shift v.
 
-    Coefficients become ``b_n = sum_q C(n+q, q) a_{n+q} v^q``; for a
-    polynomial the sum is finite and exact, otherwise each coefficient
-    is truncated at the working order.
+    Coefficient n is ``b_n = F^(n)(v) / n!``, the n-th derivative's value
+    at v: exact for a polynomial, otherwise truncated at the working order.
     """
     v = _as_omega(v)
     if not v.is_infinitesimal():
@@ -231,16 +227,10 @@ def taylor_shift(
     target = order if order is not None else DEFAULT_ORDER
 
     def coeff(n: int) -> OmegaNumber:
-        def term(q: int) -> OmegaNumber:
-            return F.coeff(n + q) * math.comb(n + q, q)
-
-        if F.degree is None:
-            return _power_sum(term, v, target, target)
-        return _horner(term, v, F.degree - n)
+        return derivative(F, n).eval(v, order=target) * Fraction(1, math.factorial(n))
 
     return RegularFunction(
-        coeff, base_point=F.base_point, radius=F.radius,
-        name=f"{F.name}@shift", degree=F.degree,
+        coeff, base_point=F.base_point, name=f"{F.name}@shift", degree=F.degree
     )
 
 
@@ -249,13 +239,13 @@ def taylor_shift(
 # ---------------------------------------------------------------------------
 
 
-#: name -> (base point, radius, a, B, y0); the built-in is Y[0] of (1 + a*x)*Y' = B*Y.
+#: name -> (base point, a, B, y0); the built-in is Y[0] of (1 + a*x)*Y' = B*Y.
 _SYSTEMS = {
-    "exp": (0, None, 0, ((1,),), (1,)),
-    "sin": (0, None, 0, ((0, 1), (-1, 0)), (0, 1)),  # Y = (sin, cos)
-    "cos": (0, None, 0, ((0, -1), (1, 0)), (1, 0)),  # Y = (cos, sin)
-    "log": (1, 1, 1, ((0, 1), (0, 0)), (0, 1)),  # Y = (L, 1): (1+x)*L' = 1
-    "geometric": (0, 1, -1, ((1,),), (1,)),  # (1-x)*G' = G
+    "exp": (0, 0, ((1,),), (1,)),
+    "sin": (0, 0, ((0, 1), (-1, 0)), (0, 1)),  # Y = (sin, cos)
+    "cos": (0, 0, ((0, -1), (1, 0)), (1, 0)),  # Y = (cos, sin)
+    "log": (1, 1, ((0, 1), (0, 0)), (0, 1)),  # Y = (L, 1): (1+x)*L' = 1
+    "geometric": (0, -1, ((1,),), (1,)),  # (1-x)*G' = G
 }
 
 
@@ -278,7 +268,7 @@ def builtin(
         t = Fraction(1) if base is None else base
         if t <= 0:
             raise UnsupportedBasePoint("pow needs a positive base point")
-        system = (t, t, 1 / t, ((alpha / t,),), (rational_root_power(t, alpha),))
+        system = (t, 1 / t, ((alpha / t,),), (rational_root_power(t, alpha),))
         name = f"pow_{alpha}"
     elif name in _SYSTEMS:
         system = _SYSTEMS[name]
@@ -289,7 +279,7 @@ def builtin(
             )
     else:
         raise UnsupportedBasePoint(f"unknown function {name!r}")
-    base, radius, a, B, y0 = system
+    base, a, B, y0 = system
     columns = [[_frac(y)] for y in y0]
 
     def coeff(n: int) -> OmegaNumber:
@@ -302,7 +292,7 @@ def builtin(
             prefix = columns = _ode_series(a, B, prefix, (0, 1), limit)
         return OmegaNumber.from_rational(prefix[0][n])
 
-    return RegularFunction(coeff, base_point=base, radius=radius, name=name)
+    return RegularFunction(coeff, base_point=base, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +365,9 @@ def solve_lift(
         if residual.is_zero():
             return OmegaNumber.from_rational(seed) + u
         slope = Fp.eval(d0 + u, order=target)
-        u = (u + residual * slope.invert(order=target)).truncate(target)
+        step = u + residual * slope.invert(order=target)
+        # An F known below the target leaves each step known only as far.
+        u = step.truncate(_min_order(target, step.known_order))
     raise OmegaError("moment iteration failed to close")  # pragma: no cover
 
 

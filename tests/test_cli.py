@@ -343,6 +343,14 @@ NO_TRACEBACK = [
     (["ode", "exp", "--p", "1", "--init", "1", "--init", "2"],
      "more initial conditions than the system order"),
     (["demo", "leibniz-pi", "--terms", "-1"], "--terms must be nonnegative"),
+    (["eval", "exp + 1"], "a function value appears where a number is needed"),
+    (["eval", "exp(eps)"], "extended numbers support comparison only"),
+    (["cmp", "exp", "1"], "cmp takes two numbers"),
+    (["table", "a", "--max", "0"], "--max must be at least 1"),
+    (["demo", "foo"], "unknown demo 'foo'"),
+    (["sum", "1"], "argument must name a function (builtin, poly[...] or int[...])"),
+    (["aleph", "div", "1", "-1"], "divisor must be strictly positive"),
+    (["aleph", "div", "-1", "1"], "dividend must be nonnegative"),
 ]
 
 
@@ -557,14 +565,24 @@ class TestTableDigests:
 
 
 class TestTargetKnownBelowTheOrder:
-    """A solve or lift target known only below --order is solved at its
-    own order, not refused with an internal truncation error."""
+    """A solve or lift whose target or function is known only below
+    --order is solved at that order, not refused with an internal
+    truncation error."""
 
     @pytest.mark.parametrize("argv,expected", [
         (["--order", "4", "eval", "solve[poly[0,1] = S*(exp(o) - 1) - 1; 0]"],
          "1/2*o + 1/6*o^2 + 1/24*o^3 + O(o^4)"),
         (["--order", "4", "lift", "exp", "--target", "1 + S*(exp(o) - 1 - o)", "--seed", "0"],
          "1/2*o + 1/24*o^2 + O(o^4)"),
+        # the function's constant coefficient is known to o^(N-1)
+        (["--order", "2", "eval", "solve[poly[S*(exp(o)-1) - 1, 1] = o; 0]"],
+         "1/2*o + O(o^2)"),
+        (["--order", "3", "eval", "solve[poly[S*(exp(o)-1) - 1, 1] = o; 0]"],
+         "1/2*o - 1/6*o^2 + O(o^3)"),
+        (["--order", "4", "eval", "solve[poly[S*(exp(o)-1) - 1, 1] = o; 0]"],
+         "1/2*o - 1/6*o^2 - 1/24*o^3 + O(o^4)"),
+        (["--order", "6", "eval", "solve[poly[S*(exp(o)-1) - 1, 1] = o; 0]"],
+         "1/2*o - 1/6*o^2 - 1/24*o^3 - 1/120*o^4 - 1/720*o^5 + O(o^6)"),
     ])
     def test_prints(self, argv, expected):
         assert run_cli(argv) == (0, expected + "\n")

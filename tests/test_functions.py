@@ -19,6 +19,7 @@ from omegacalc.errors import (
 )
 from omegacalc.functions import (
     RegularFunction,
+    _as_omega,
     builtin,
     derivative,
     lift_poly_root,
@@ -26,7 +27,13 @@ from omegacalc.functions import (
     solve_lift,
     taylor_shift,
 )
-from omegacalc.omega import DEFAULT_ORDER, OmegaNumber, much_less, rational_root_power
+from omegacalc.omega import (
+    DEFAULT_ORDER,
+    OmegaNumber,
+    _min_order,
+    much_less,
+    rational_root_power,
+)
 
 from conftest import random_omega
 from test_calculus import key
@@ -173,14 +180,14 @@ def closed_form_pow(t, a):
 POW_CASES = [(F(4), F(1, 2)), (F(8), F(2, 3)), (F(1), F(-1, 3)), (F(1, 4), F(3, 2)),
              (F(9), F(0)), (F(2), F(3)), (F(5), F(-2))]
 
-# (name, base point, alpha) -> (stream name, base point, radius, closed form)
+# (name, base point, alpha) -> (stream name, base point, closed form)
 BUILTIN_CONTRACT = [
-    (("exp", None, None), ("exp", 0, None, CLOSED_FORMS["exp"])),
-    (("sin", None, None), ("sin", 0, None, CLOSED_FORMS["sin"])),
-    (("cos", 0, None), ("cos", 0, None, CLOSED_FORMS["cos"])),
-    (("log", None, None), ("log", 1, 1, CLOSED_FORMS["log"])),
-    (("geometric", None, None), ("geometric", 0, 1, CLOSED_FORMS["geometric"])),
-] + [(("pow", t, a), (f"pow_{a}", t, t, closed_form_pow(t, a))) for t, a in POW_CASES]
+    (("exp", None, None), ("exp", 0, CLOSED_FORMS["exp"])),
+    (("sin", None, None), ("sin", 0, CLOSED_FORMS["sin"])),
+    (("cos", 0, None), ("cos", 0, CLOSED_FORMS["cos"])),
+    (("log", None, None), ("log", 1, CLOSED_FORMS["log"])),
+    (("geometric", None, None), ("geometric", 0, CLOSED_FORMS["geometric"])),
+] + [(("pow", t, a), (f"pow_{a}", t, closed_form_pow(t, a))) for t, a in POW_CASES]
 
 
 class TestBuiltinContract:
@@ -189,8 +196,8 @@ class TestBuiltinContract:
     def test_coefficients_match_closed_form(self, args, expected):
         name, base_point, alpha = args
         f = builtin(name, base_point=base_point, alpha=alpha)
-        stream_name, base, radius, closed_form = expected
-        assert (f.name, f.base_point, f.radius, f.degree) == (stream_name, base, radius, None)
+        stream_name, base, closed_form = expected
+        assert (f.name, f.base_point, f.degree) == (stream_name, base, None)
         order = list(range(301))
         random.Random(name).shuffle(order)  # out-of-order reads continue the prefix
         for n in order:
@@ -538,7 +545,8 @@ class TestEvalDefaultOrder:
 
 
 class TestLiftBelowTheOrder:
-    """A target known below the working order is solved at its own order."""
+    """A target or function known below the working order is solved at
+    that order."""
 
     def test_identity_returns_the_inexact_target(self):
         y = OmegaNumber.from_terms({1: F(1, 2), 2: F(1, 6), 3: F(1, 24)}, known_order=3)
@@ -551,3 +559,89 @@ class TestLiftBelowTheOrder:
         got = solve_lift(builtin("exp"), y, 0, order=4)
         assert got == OmegaNumber.from_terms({1: F(1, 2), 2: F(1, 24)}, known_order=3)
         assert builtin("exp").eval(got, order=4) == y
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_function_known_below_the_order(self, n):
+        # x + S*(exp(o) - 1) - 1 = o: the constant coefficient is known to
+        # o^(n-1), and so is x = o - sum o^k/(k+1)!
+        c0 = OmegaNumber.sigma() * (builtin("exp").eval(O, order=n) - 1) - 1
+        f = RegularFunction.polynomial([c0, 1])
+        got = solve_lift(f, O, 0, order=n)
+        terms = {k: -F(1, math.factorial(k + 1)) for k in range(2, n)}
+        assert key(got) == key(OmegaNumber.from_terms({1: F(1, 2), **terms}, known_order=n - 1))
+        assert f.eval(got) == OmegaNumber.from_terms({1: 1}, known_order=n - 1)
+
+
+# ---------------------------------------------------------------------------
+# The former Taylor-shift loop, kept as an oracle: its own power sum for a
+# stream, its own Horner loop for a polynomial
+# ---------------------------------------------------------------------------
+
+
+def oracle_taylor_shift(f, v, order=None) -> RegularFunction:
+    """b_n = sum_q C(n+q, q) a_{n+q} v^q, summed term by term."""
+    v = _as_omega(v)
+    if not v.is_infinitesimal():
+        raise NotInfinitesimal("shift must be infinitesimal")
+    if v.is_zero() and v.is_exact():
+        return f
+    target = order if order is not None else DEFAULT_ORDER
+
+    def coeff(n):
+        def term(q):
+            return f.coeff(n + q) * math.comb(n + q, q)
+
+        if f.degree is None:
+            total = term(0)
+            v_pow = ONE
+            for q in range(1, target + 1):
+                v_pow = v_pow * v
+                if v_pow.is_zero() and v_pow.is_exact():
+                    break
+                v_pow = v_pow.truncate(_min_order(target, v_pow.known_order))
+                total = total + term(q) * v_pow
+            return total.truncate(_min_order(target, total.known_order))
+        total = OmegaNumber.zero()
+        for q in range(f.degree - n, -1, -1):
+            total = total * v + term(q)
+        return total
+
+    return RegularFunction(coeff, base_point=f.base_point, name=f"{f.name}@shift",
+                           degree=f.degree)
+
+
+SHIFT_STREAMS = [
+    lambda: builtin("exp"), lambda: builtin("sin"), lambda: builtin("log"),
+    lambda: builtin("geometric"), lambda: builtin("pow", base_point=4, alpha=F(1, 2)),
+    lambda: builtin("pow", base_point=8, alpha=F(-2, 3)),
+    lambda: RegularFunction(lambda n: OmegaNumber.sigma() * (n + 1) + 1),  # S-carrying
+]
+
+
+def outcome(read):
+    """The structure of a value, or the type of the exception raised instead."""
+    try:
+        return key(read())
+    except Exception as exc:
+        return type(exc)
+
+
+class TestShiftThroughEval:
+    """Coefficient n of the shift is the n-th derivative's value at v over
+    n!; it is structurally the former term-by-term sum."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(SHIFT_STREAMS).map(lambda make: make())
+           | st.lists(omega_values(-2, 4), min_size=1, max_size=5).map(RegularFunction.polynomial),
+           omega_values(1, 4), st.integers(-1, 20))
+    @example(builtin("exp"), O, 20)
+    @example(builtin("sin"), OmegaNumber.from_terms({1: 1, 2: 3}, known_order=2), 9)
+    @example(builtin("geometric"), OmegaNumber.from_terms({}, known_order=2), 5)  # inexact zero
+    @example(RegularFunction.polynomial([OmegaNumber.from_terms({-1: 1}, known_order=0), 2, 1]),
+             OmegaNumber.from_terms({1: 1}, known_order=3), 6)
+    def test_matches_the_former_loop(self, f, v, order):
+        got, want = taylor_shift(f, v, order=order), oracle_taylor_shift(f, v, order=order)
+        assert (got.degree, got.base_point) == (want.degree, want.base_point)
+        for n in range(6):
+            assert outcome(lambda: got.coeff(n)) == outcome(lambda: want.coeff(n))
+
