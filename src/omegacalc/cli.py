@@ -410,18 +410,38 @@ def _cmd_demo(args, order, mode) -> list[str]:
     return lines
 
 
+# Each command: its handler, its help line, and its positionals and flags
+# with their argparse keywords, added in this order.
 _COMMANDS = {
-    "eval": _cmd_eval,
-    "cmp": _cmd_cmp,
-    "table": _cmd_table,
-    "diff": _cmd_diff,
-    "sum": _cmd_sum,
-    "bsum": _cmd_bsum,
-    "ode": _cmd_ode,
-    "lift": _cmd_lift,
-    "expand": _cmd_expand,
-    "aleph": _cmd_aleph,
-    "demo": _cmd_demo,
+    "eval": {"run": _cmd_eval, "help": "evaluate an expression ('-' reads stdin)",
+             "args": {"expr": {}}},
+    "cmp": {"run": _cmd_cmp, "help": "compare two values: Less/Equal/Greater",
+            "args": {"left": {}, "right": {}}},
+    "table": {"run": _cmd_table, "help": "dump an exact coefficient table",
+              "args": {"name": {"choices": ("dtoD", "Dtod", "X", "K", "a", "ap", "bernoulli")},
+                       "--max": {"type": int, "default": 4},
+                       "--p": {"type": int, "default": 1}}},
+    "diff": {"run": _cmd_diff, "help": "step-o difference D^p f at a point",
+             "args": {"func": {}, "--p": {"type": int, "default": 1}, "--at": {"default": "0"},
+                      "--leibniz": {"action": "store_true",
+                                    "help": "use the derivative differential d^p instead"}}},
+    "sum": {"run": _cmd_sum, "help": "antidifference G with DG = F*o",
+            "args": {"func": {}, "--a0": {"default": "0"}}},
+    "bsum": {"run": _cmd_bsum, "help": "literal grid sum over [[t, t+k*o[[",
+             "args": {"func": {}, "--from": {"default": "0"},
+                      "--steps": {"type": int, "required": True}}},
+    "ode": {"run": _cmd_ode, "help": "order-p difference system",
+            "args": {"func": {}, "--p": {"type": int, "required": True},
+                     "--init": {"action": "append"}}},
+    "lift": {"run": _cmd_lift, "help": "solve F(x) = target moment by moment",
+             "args": {"func": {}, "--target": {"required": True}, "--seed": {"required": True}}},
+    "expand": {"run": _cmd_expand, "help": "Laurent expansion of P(o)/Q(o)",
+               "args": {"expr": {}}},
+    "aleph": {"run": _cmd_aleph, "help": "nonstandard integer operations",
+              "args": {"op": {"choices": ("succ", "pred", "add", "mul", "div", "member")},
+                       "args": {"nargs": "+"}}},
+    "demo": {"run": _cmd_demo, "help": "worked demonstrations",
+             "args": {"name": {}, "--terms": {"type": int, "default": 8}}},
 }
 
 
@@ -432,77 +452,17 @@ def _build_argparser() -> argparse.ArgumentParser:
     )
     top.add_argument("-i", "--interactive", action="store_true",
                      help="read expressions from stdin, one per line")
-    top.add_argument("--order", type=int, default=None,
+    top.add_argument("--order", type=int, default=DEFAULT_ORDER,
                      help=f"working truncation order (default {DEFAULT_ORDER})")
-    top.add_argument("--format", choices=("plain", "json"), default=None)
-
+    top.add_argument("--format", choices=("plain", "json"), default="plain")
     sub = top.add_subparsers(dest="command")
-
-    def common(p):
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command["help"])
+        for flag, keywords in command["args"].items():
+            p.add_argument(flag, **keywords)
         # SUPPRESS: an absent subcommand flag must not overwrite the top-level one.
         p.add_argument("--order", type=int, default=argparse.SUPPRESS)
         p.add_argument("--format", choices=("plain", "json"), default=argparse.SUPPRESS)
-
-    p = sub.add_parser("eval", help="evaluate an expression ('-' reads stdin)")
-    p.add_argument("expr")
-    common(p)
-
-    p = sub.add_parser("cmp", help="compare two values: Less/Equal/Greater")
-    p.add_argument("left")
-    p.add_argument("right")
-    common(p)
-
-    p = sub.add_parser("table", help="dump an exact coefficient table")
-    p.add_argument("name", choices=("dtoD", "Dtod", "X", "K", "a", "ap", "bernoulli"))
-    p.add_argument("--max", type=int, default=4)
-    p.add_argument("--p", type=int, default=1)
-    common(p)
-
-    p = sub.add_parser("diff", help="step-o difference D^p f at a point")
-    p.add_argument("func")
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--at", default="0")
-    p.add_argument("--leibniz", action="store_true",
-                   help="use the derivative differential d^p instead")
-    common(p)
-
-    p = sub.add_parser("sum", help="antidifference G with DG = F*o")
-    p.add_argument("func")
-    p.add_argument("--a0", default="0")
-    common(p)
-
-    p = sub.add_parser("bsum", help="literal grid sum over [[t, t+k*o[[")
-    p.add_argument("func")
-    p.add_argument("--from", default="0")
-    p.add_argument("--steps", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("ode", help="order-p difference system")
-    p.add_argument("func")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--init", action="append")
-    common(p)
-
-    p = sub.add_parser("lift", help="solve F(x) = target moment by moment")
-    p.add_argument("func")
-    p.add_argument("--target", required=True)
-    p.add_argument("--seed", required=True)
-    common(p)
-
-    p = sub.add_parser("expand", help="Laurent expansion of P(o)/Q(o)")
-    p.add_argument("expr")
-    common(p)
-
-    p = sub.add_parser("aleph", help="nonstandard integer operations")
-    p.add_argument("op", choices=("succ", "pred", "add", "mul", "div", "member"))
-    p.add_argument("args", nargs="+")
-    common(p)
-
-    p = sub.add_parser("demo", help="worked demonstrations")
-    p.add_argument("name")
-    p.add_argument("--terms", type=int, default=8)
-    common(p)
-
     return top
 
 
@@ -550,16 +510,16 @@ def _repl(order: int, mode: str, out) -> int:
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
+    if hasattr(sys, "set_int_max_str_digits"):  # exact integers print in full
+        sys.set_int_max_str_digits(0)
     top = _build_argparser()
     args = top.parse_args(argv)
-    order = args.order if args.order is not None else DEFAULT_ORDER
-    mode = args.format if args.format is not None else "plain"
 
     cap = _max_order()
     if cap is None:
         print("error: OMEGA_MAX_ORDER must be a nonnegative integer", file=sys.stderr)
         return 2
-    if order < 0 or order > cap:
+    if args.order < 0 or args.order > cap:
         print(
             f"error: --order must be between 0 and {cap} "
             "(cap set by OMEGA_MAX_ORDER)",
@@ -568,11 +528,12 @@ def main(argv=None, out=None) -> int:
         return 2
 
     if args.interactive:
-        return _repl(order, mode, out)
+        return _repl(args.order, args.format, out)
     if args.command is None:
         top.print_usage(sys.stderr)
         return 2
-    return _report(lambda: _COMMANDS[args.command](args, order, mode), out)
+    run = _COMMANDS[args.command]["run"]
+    return _report(lambda: run(args, args.order, args.format), out)
 
 
 def entrypoint():  # console-script shim

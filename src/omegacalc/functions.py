@@ -359,11 +359,14 @@ def solve_lift(
     u = OmegaNumber.zero()
     for _ in range(target + 2):
         value = F.eval(d0 + u, order=target)
-        residual = (y - value).truncate(
-            _min_order(target, _min_order(y.known_order, value.known_order))
-        )
+        residual = y - value
+        if not (residual.is_exact() and residual.is_zero()):  # an exact root stays exact
+            residual = residual.truncate(
+                _min_order(target, _min_order(y.known_order, value.known_order))
+            )
         if residual.is_zero():
-            return OmegaNumber.from_rational(seed) + u
+            # A residual known to be zero only so far leaves the root known as far.
+            return OmegaNumber.from_rational(seed) + u + residual
         slope = Fp.eval(d0 + u, order=target)
         step = u + residual * slope.invert(order=target)
         # An F known below the target leaves each step known only as far.

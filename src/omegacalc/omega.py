@@ -507,9 +507,9 @@ def _integer_root(value: int, degree: int) -> int | None:
         return None
     if value in (0, 1) or degree == 1:
         return value
-    lo, hi = 0, 1
-    while hi**degree <= value:
-        hi *= 2
+    if degree >= value.bit_length():  # a root r >= 2 has r**degree >= 2**degree > value
+        return None
+    lo, hi = 0, 1 << (value.bit_length() // degree + 1)
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if mid**degree <= value:

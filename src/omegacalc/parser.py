@@ -18,7 +18,8 @@ Grammar (EBNF, whitespace-insensitive):
 
 Precedence: ^  >  unary -  >  * /  >  + -, all left-associative except
 ^, whose exponent must be an integer or a parenthesized rational
-literal.  Offsets in errors are 0-based byte offsets into the input.
+literal.  INT is a run of ASCII digits.  Offsets in errors are 0-based
+character offsets into the input string.
 """
 
 from __future__ import annotations
@@ -104,9 +105,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: str.isdigit() also holds for '²'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("int", text[i:j], i))
             i = j

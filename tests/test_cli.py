@@ -591,3 +591,57 @@ class TestTargetKnownBelowTheOrder:
         argv = ["--order", "0", "lift", "exp", "--target", "1 + S*(exp(o) - 1 - o)", "--seed", "0"]
         assert run_cli(argv) == (3, "")
         assert "constant coefficient is unknown" in capsys.readouterr().err
+
+
+class TestAsciiIntegers:
+    """INT is a run of ASCII digits: other Unicode digits are no token,
+    though they may continue a name."""
+
+    @pytest.mark.parametrize("text,ch", [("²", "²"), ("٣+1", "٣")])
+    def test_unicode_digit_is_not_an_integer(self, text, ch, capsys):
+        assert run_cli(["eval", text]) == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: parse error at offset 0: expected a token; found '{ch}'\n"
+        )
+        assert run_cli(["eval", f"x{ch}"]) == (2, "")
+        assert capsys.readouterr().err == f"error: unknown function 'x{ch}'\n"
+
+
+class TestLongIntegers:
+    """Integers past Python's default 4300-digit string limit print in full."""
+
+    @pytest.mark.parametrize("argv,digits", [
+        (["eval", "10^5000"], "1" + "0" * 5000),
+        (["eval", "1" * 5001], "1" * 5001),
+        (["aleph", "mul", "10^3000", "10^3000"], "1" + "0" * 6000),
+    ], ids=["10^5000", "5001-digit literal", "aleph mul 10^3000 10^3000"])
+    def test_prints_every_digit(self, argv, digits):
+        assert run_cli(argv) == (0, digits + "\n")
+
+    def test_json_carries_every_digit(self):
+        code, out = run_cli(["eval", "10^5000", "--format", "json"])
+        assert code == 0
+        assert from_json_dict(json.loads(out)) == OmegaNumber.from_rational(10**5000)
+
+
+class TestLiftZeroResidual:
+    """A lift whose residual is zero only as far as it is known returns
+    that tail; an exact zero residual returns an exact root."""
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["--order", "1", "eval", "solve[poly[0,1] = o^5; 0]"], "O(o^2)"),
+        (["--order", "1", "eval", "solve[poly[S*(exp(o)-1) - 1, 1] = o; 0]"], "O(o^1)"),
+        (["eval", "solve[exp = 1; 0]"], "O(o^9)"),  # exp(0) is 1 + O(o^9)
+    ])
+    def test_inexact_zero_residual_keeps_its_tail(self, argv, expected):
+        assert run_cli(argv) == (0, expected + "\n")
+
+    @pytest.mark.parametrize("poly,target,seed,root", [
+        ("poly[-1,1]", "0", "1", "1"),
+        ("poly[0,0,1]", "4", "2", "2"),
+    ])
+    def test_exact_root_stays_exact(self, poly, target, seed, root):
+        assert run_cli(["eval", f"solve[{poly} = {target}; {seed}]"]) == (0, root + "\n")
+        # the same seed under a target moved past the order is a root known to o^1
+        moved = f"solve[{poly} = {target} + o^5; {seed}]"
+        assert run_cli(["--order", "1", "eval", moved]) == (0, f"{root} + O(o^2)\n")

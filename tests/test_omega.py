@@ -38,6 +38,7 @@ from omegacalc.omega import (
     render_plain,
     sup_finite,
     to_json_dict,
+    _integer_root,
     _mul_trunc,
     _ode_series,
 )
@@ -1086,3 +1087,18 @@ class TestOperatorForms:
         assert got == x.pow_rational(alpha, order)
         if F(alpha).denominator == 1 and alpha > 0:
             assert got == x * x * x
+
+
+class TestIntegerRoot:
+    def test_exact_roots_and_their_neighbours(self):
+        for d in range(1, 12):
+            for k in range(40):
+                assert _integer_root(k**d, d) == k
+                if k and d > 1:
+                    assert _integer_root(k**d + 1, d) is None
+
+    def test_degree_past_the_bit_length_is_refused_at_once(self):
+        # no root r >= 2 can have r**degree <= 2 < 2**degree
+        assert _integer_root(2, 10**12) is None
+        assert _integer_root(2**64 - 1, 64) is None
+        assert _integer_root(2**64, 64) == 2
