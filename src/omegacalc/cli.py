@@ -314,10 +314,19 @@ def _parse_func_arg(text: str, order: int) -> functions.RegularFunction:
     return value
 
 
-def _rational_arg(text: str, flag: str) -> Fraction:
+def _int_arg(text: str) -> int:
+    """An integer flag's value: the grammar's [ "-" ] INT."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return parser.read_int(text)
+    except ParseError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _rational_arg(text: str, flag: str) -> Fraction:
+    """A rational flag's value: the grammar's signed_rational."""
+    try:
+        return parser.read_rational(text)
+    except ParseError:
         raise DomainError(f"{flag} must be a rational number, got {text!r}") from None
 
 
@@ -419,19 +428,20 @@ _COMMANDS = {
             "args": {"left": {}, "right": {}}},
     "table": {"run": _cmd_table, "help": "dump an exact coefficient table",
               "args": {"name": {"choices": ("dtoD", "Dtod", "X", "K", "a", "ap", "bernoulli")},
-                       "--max": {"type": int, "default": 4},
-                       "--p": {"type": int, "default": 1}}},
+                       "--max": {"type": _int_arg, "default": 4},
+                       "--p": {"type": _int_arg, "default": 1}}},
     "diff": {"run": _cmd_diff, "help": "step-o difference D^p f at a point",
-             "args": {"func": {}, "--p": {"type": int, "default": 1}, "--at": {"default": "0"},
+             "args": {"func": {}, "--p": {"type": _int_arg, "default": 1},
+                      "--at": {"default": "0"},
                       "--leibniz": {"action": "store_true",
                                     "help": "use the derivative differential d^p instead"}}},
     "sum": {"run": _cmd_sum, "help": "antidifference G with DG = F*o",
             "args": {"func": {}, "--a0": {"default": "0"}}},
     "bsum": {"run": _cmd_bsum, "help": "literal grid sum over [[t, t+k*o[[",
              "args": {"func": {}, "--from": {"default": "0"},
-                      "--steps": {"type": int, "required": True}}},
+                      "--steps": {"type": _int_arg, "required": True}}},
     "ode": {"run": _cmd_ode, "help": "order-p difference system",
-            "args": {"func": {}, "--p": {"type": int, "required": True},
+            "args": {"func": {}, "--p": {"type": _int_arg, "required": True},
                      "--init": {"action": "append"}}},
     "lift": {"run": _cmd_lift, "help": "solve F(x) = target moment by moment",
              "args": {"func": {}, "--target": {"required": True}, "--seed": {"required": True}}},
@@ -441,7 +451,7 @@ _COMMANDS = {
               "args": {"op": {"choices": ("succ", "pred", "add", "mul", "div", "member")},
                        "args": {"nargs": "+"}}},
     "demo": {"run": _cmd_demo, "help": "worked demonstrations",
-             "args": {"name": {}, "--terms": {"type": int, "default": 8}}},
+             "args": {"name": {}, "--terms": {"type": _int_arg, "default": 8}}},
 }
 
 
@@ -452,7 +462,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     )
     top.add_argument("-i", "--interactive", action="store_true",
                      help="read expressions from stdin, one per line")
-    top.add_argument("--order", type=int, default=DEFAULT_ORDER,
+    top.add_argument("--order", type=_int_arg, default=DEFAULT_ORDER,
                      help=f"working truncation order (default {DEFAULT_ORDER})")
     top.add_argument("--format", choices=("plain", "json"), default="plain")
     sub = top.add_subparsers(dest="command")
@@ -461,7 +471,7 @@ def _build_argparser() -> argparse.ArgumentParser:
         for flag, keywords in command["args"].items():
             p.add_argument(flag, **keywords)
         # SUPPRESS: an absent subcommand flag must not overwrite the top-level one.
-        p.add_argument("--order", type=int, default=argparse.SUPPRESS)
+        p.add_argument("--order", type=_int_arg, default=argparse.SUPPRESS)
         p.add_argument("--format", choices=("plain", "json"), default=argparse.SUPPRESS)
     return top
 
@@ -469,8 +479,8 @@ def _build_argparser() -> argparse.ArgumentParser:
 def _max_order() -> int | None:
     """The OMEGA_MAX_ORDER cap (default 32), or None when it is malformed."""
     try:
-        cap = int(os.environ.get("OMEGA_MAX_ORDER", "32"))
-    except ValueError:
+        cap = parser.read_int(os.getenv("OMEGA_MAX_ORDER", "32"))
+    except ParseError:
         return None
     return cap if cap >= 0 else None
 

@@ -6,7 +6,8 @@ Grammar (EBNF, whitespace-insensitive):
     term      = unary { ("*" | "/") unary } ;
     unary     = "-" unary | power ;
     power     = postfix [ "^" exponent ] ;
-    exponent  = INT | "(" [ "-" ] INT [ "/" INT ] ")" ;
+    exponent  = INT | "(" signed_rational ")" ;
+    signed_rational = [ "-" ] INT [ "/" INT ] ;
     postfix   = primary [ "(" expr ")" ] ;
     primary   = INT | "o" | "S" | "eps" | "sqrt" "(" expr ")"
               | opform | funcref | "(" expr ")" ;
@@ -18,8 +19,10 @@ Grammar (EBNF, whitespace-insensitive):
 
 Precedence: ^  >  unary -  >  * /  >  + -, all left-associative except
 ^, whose exponent must be an integer or a parenthesized rational
-literal.  INT is a run of ASCII digits.  Offsets in errors are 0-based
-character offsets into the input string.
+literal.  INT is a run of ASCII digits, and a signed_rational's
+denominator is nonzero.  Offsets in errors are 0-based character offsets
+into the input string.  ``read_int`` and ``read_rational`` read a whole
+input as ``[ "-" ] INT`` and as ``signed_rational``.
 """
 
 from __future__ import annotations
@@ -161,25 +164,16 @@ class _Parser:
 
     # grammar rules ---------------------------------------------------
 
-    def parse_expr(self):
-        node = self.parse_term()
+    def parse_expr(self, ops: str = "+-"):
+        """expr (ops "+-") or term (ops "*/"): operands joined left to right."""
+        node, op = None, None
         while True:
+            right = self.parse_expr("*/") if ops == "+-" else self.parse_unary()
+            node = BinOp(op, node, right) if op else right
             t = self.peek()
-            if t.kind == "punct" and t.text in "+-":
-                self.next()
-                node = BinOp(t.text, node, self.parse_term())
-            else:
+            if t.kind != "punct" or t.text not in ops:
                 return node
-
-    def parse_term(self):
-        node = self.parse_unary()
-        while True:
-            t = self.peek()
-            if t.kind == "punct" and t.text in "*/":
-                self.next()
-                node = BinOp(t.text, node, self.parse_unary())
-            else:
-                return node
+            op = self.next().text
 
     def parse_unary(self):
         if self.accept("-"):
@@ -193,35 +187,33 @@ class _Parser:
         return node
 
     def parse_exponent(self) -> Fraction:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return Fraction(int(t.text))
-        if t.kind == "punct" and t.text == "(":
-            self.next()
+        if self.accept("("):
             value = self.parse_signed_rational()
             self.expect(")")
             return value
-        self.fail("integer", "'('")
+        return Fraction(self.parse_int("integer", "'('"))
 
-    def parse_signed_rational(self) -> Fraction:
-        negative = self.accept("-")
+    def parse_int(self, *expected: str) -> int:
+        """One INT token as an int; ``expected`` names what may stand here."""
         t = self.peek()
         if t.kind != "int":
-            self.fail("integer")
+            self.fail(*expected or ("integer",))
         self.next()
-        num = int(t.text)
-        den = 1
+        return int(t.text)
+
+    def parse_signed_int(self) -> int:
+        sign = -1 if self.accept("-") else 1
+        return sign * self.parse_int()
+
+    def parse_signed_rational(self) -> Fraction:
+        value = Fraction(self.parse_signed_int())
         if self.accept("/"):
-            d = self.peek()
-            if d.kind != "int":
-                self.fail("integer")
-            if int(d.text) == 0:
+            den = self.parse_int()
+            if den == 0:
+                self.pos -= 1  # the error names the zero token
                 self.fail("nonzero integer")
-            self.next()
-            den = int(d.text)
-        value = Fraction(num, den)
-        return -value if negative else value
+            value /= den
+        return value
 
     def parse_postfix(self):
         node = self.parse_primary()
@@ -232,18 +224,13 @@ class _Parser:
         return node
 
     def parse_primary(self):
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return Lit(Fraction(int(t.text)))
-        if t.kind == "punct" and t.text == "(":
-            self.next()
+        if self.peek().kind == "name":
+            return self.parse_name()
+        if self.accept("("):
             node = self.parse_expr()
             self.expect(")")
             return node
-        if t.kind == "name":
-            return self.parse_name()
-        self.fail("integer", "name", "'('", "'-'")
+        return Lit(Fraction(self.parse_int("integer", "name", "'('", "'-'")))
 
     def parse_name(self):
         t = self.next()
@@ -263,18 +250,12 @@ class _Parser:
             self.expect("]")
             return DiffForm(name, p, func)
         if name == "int":
-            p = 1
-            if self.accept("^"):
-                p = self.parse_int()
+            p = self.parse_int() if self.accept("^") else 1
             self.expect("[")
             func = self.parse_func()
-            inits: list = []
-            if self.accept(";"):
-                inits.append(self.parse_expr())
-                while self.accept(","):
-                    inits.append(self.parse_expr())
+            inits = self.parse_exprs() if self.accept(";") else ()
             self.expect("]")
-            return IntForm(p, func, tuple(inits))
+            return IntForm(p, func, inits)
         if name == "solve":
             self.expect("[")
             func = self.parse_func()
@@ -285,43 +266,49 @@ class _Parser:
             self.expect("]")
             return SolveForm(func, target, seed)
         if name == "poly":
-            return self.parse_poly()
+            self.expect("[")
+            coeffs = self.parse_exprs()
+            self.expect("]")
+            return PolyFunc(coeffs)
         return FuncRef(name)
 
-    def parse_int(self) -> int:
-        t = self.peek()
-        if t.kind != "int":
-            self.fail("integer")
-        self.next()
-        return int(t.text)
-
-    def parse_poly(self):
-        self.expect("[")
-        coeffs = [self.parse_expr()]
+    def parse_exprs(self) -> tuple:
+        """expr { "," expr }"""
+        exprs = [self.parse_expr()]
         while self.accept(","):
-            coeffs.append(self.parse_expr())
-        self.expect("]")
-        return PolyFunc(tuple(coeffs))
+            exprs.append(self.parse_expr())
+        return tuple(exprs)
 
     def parse_func(self):
+        """funcref or int form: every name but the other keywords."""
         t = self.peek()
-        if t.kind != "name":
+        if t.kind != "name" or t.text in ("o", "S", "eps", "D", "d", "solve", "sqrt"):
             self.fail("function name")
-        if t.text in ("o", "S", "eps", "D", "d", "solve", "sqrt"):
-            self.fail("function name")
-        node = self.parse_name()
-        if not isinstance(node, (FuncRef, PolyFunc, IntForm)):
-            self.fail("function name")
-        return node
+        return self.parse_name()
+
+
+def _read(text: str, rule):
+    """The whole of ``text`` by one grammar rule; trailing input is an error."""
+    p = _Parser(text)
+    value = rule(p)
+    if p.peek().kind != "end":
+        p.fail("end of input")
+    return value
 
 
 def parse(text: str):
-    """Parse one expression; trailing input is an error."""
-    p = _Parser(text)
-    node = p.parse_expr()
-    if p.peek().kind != "end":
-        p.fail("end of input")
-    return node
+    """Parse one expression."""
+    return _read(text, _Parser.parse_expr)
+
+
+def read_int(text: str) -> int:
+    """The whole of ``text`` as [ "-" ] INT."""
+    return _read(text, _Parser.parse_signed_int)
+
+
+def read_rational(text: str) -> Fraction:
+    """The whole of ``text`` as a signed_rational."""
+    return _read(text, _Parser.parse_signed_rational)
 
 
 # -- unparser ---------------------------------------------------------------

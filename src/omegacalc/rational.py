@@ -5,9 +5,9 @@ This is the field generated over the rationals by ``o`` alone (with
 denominator has a zero at ``o = 0`` its o-power factors out as S-powers,
 and the rest is omega's series division.  Every constructor and operator
 reduces P/Q, so an expansion is finite exactly when Q is a monomial.
-The expansion is a field embedding, so comparison is routed through it
-rather than through cross-multiplication, reusing the one lexicographic
-order implementation.
+The expansion is a field embedding, and the order it induces is read off
+P/Q itself: the leading coefficient of the expansion is the ratio of the
+lowest coefficients of P and Q, so no comparison expands anything.
 
 Polynomials use omega's kernel: ``_mul_trunc`` multiplies, and a
 quotient is ``_div_series`` on reversed coefficients (series division in
@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import DivisionByZero, NotInRo
-from .omega import DEFAULT_ORDER, OmegaNumber, Rational, compare
+from .omega import DEFAULT_ORDER, OmegaNumber, Rational
 from .omega import _canonical, _div_series, _frac, _mul_trunc
 
 Poly = tuple[Fraction, ...]
@@ -164,11 +164,13 @@ def expand(rf: RationalFunction, order: int | None = None) -> OmegaNumber:
     return _canonical(-v, _div_series(rf.num, den, limit), target)
 
 
-def rf_compare(a: RationalFunction, b: RationalFunction, order: int | None = None) -> int:
-    """Order agreeing with the expansion order: 0 only on exact equality."""
-    if a == b:
-        return 0
-    return compare(expand(a, order), expand(b, order))
+def rf_compare(a: RationalFunction, b: RationalFunction) -> int:
+    """The expansion order, exactly: the sign of the leading coefficient of
+    a - b = P/Q, the ratio of the lowest coefficients of P and Q (0 when P
+    is zero, that is only when a == b)."""
+    d = a - b
+    lead = next((c for c in d.num if c), 0) / next(c for c in d.den if c)
+    return (lead > 0) - (lead < 0)
 
 
 def completion_demo(target: OmegaNumber, upto: int | None = None) -> list[RationalFunction]:

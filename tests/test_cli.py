@@ -607,6 +607,70 @@ class TestAsciiIntegers:
         assert capsys.readouterr().err == f"error: unknown function 'x{ch}'\n"
 
 
+class TestFlagsFollowTheGrammar:
+    """Integer flags and OMEGA_MAX_ORDER read the grammar's [ "-" ] INT,
+    --seed and --from its signed_rational; Python's wider int() and
+    Fraction() syntax is refused."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--order", "٣", "eval", "1+o"], "argument --order: invalid int value: '٣'"),
+        (["--order", "1_0", "eval", "1+o"], "argument --order: invalid int value: '1_0'"),
+        (["--order", "+3", "eval", "1+o"], "argument --order: invalid int value: '+3'"),
+        (["eval", "1+o", "--order", "٣"], "argument --order: invalid int value: '٣'"),
+        (["table", "a", "--max", "٢"], "argument --max: invalid int value: '٢'"),
+        (["ode", "exp", "--p", "1_0"], "argument --p: invalid int value: '1_0'"),
+        (["bsum", "exp", "--steps", "+2"], "argument --steps: invalid int value: '+2'"),
+        (["demo", "leibniz-pi", "--terms", "3.0"], "argument --terms: invalid int value: '3.0'"),
+    ])
+    def test_integer_flag_refuses_what_int_accepts(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(argv)
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message}")
+
+    @pytest.mark.parametrize("seed", ["1e0", "1.0", "١", "1_0"])
+    def test_seed_refuses_what_fraction_accepts(self, seed, capsys):
+        argv = ["lift", "poly[-1,1]", "--target", "0", "--seed", seed]
+        assert run_cli(argv) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: --seed must be a rational number, got '{seed}'\n")
+
+    def test_from_refuses_a_decimal(self, capsys):
+        assert run_cli(["bsum", "poly[1]", "--from", "0.5", "--steps", "2"]) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: --from must be a rational number, got '0.5'\n")
+
+    def test_cap_refuses_a_unicode_digit(self, monkeypatch, capsys):
+        monkeypatch.setenv("OMEGA_MAX_ORDER", "٣")
+        assert run_cli(["--order", "2", "eval", "1+o"]) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: OMEGA_MAX_ORDER must be a nonnegative integer\n")
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["--order", "3", "eval", "1/(1-o)"], (0, "1 + o + o^2 + o^3 + O(o^4)\n")),
+        (["lift", "poly[1,2]", "--target", "0", "--seed=-1/2"], (0, "-1/2\n")),
+        (["lift", "poly[-1,1]", "--target", "0", "--seed", "1"], (0, "1\n")),
+        (["bsum", "poly[1]", "--from", "1/2", "--steps", "2"], (0, "2*o\n")),
+        (["bsum", "poly[0,1]", "--from=-1/2", "--steps", "2"], (0, "-o + o^2\n")),
+        (["demo", "leibniz-pi", "--terms", "2"], (0, "1\n2/3\n")),
+    ])
+    def test_ascii_forms_run(self, argv, expected):
+        assert run_cli(argv) == expected
+
+    def test_negative_p_reaches_the_domain_rule(self, capsys):
+        assert run_cli(["diff", "exp", "--p", "-1"]) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: the difference order must be nonnegative\n")
+
+    def test_ascii_cap_is_read(self, monkeypatch, capsys):
+        monkeypatch.setenv("OMEGA_MAX_ORDER", "4")
+        assert run_cli(["--order", "4", "eval", "1/(1-o)"]) == (
+            0, "1 + o + o^2 + o^3 + o^4 + O(o^5)\n")
+        assert run_cli(["--order", "5", "eval", "o"]) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: --order must be between 0 and 4 (cap set by OMEGA_MAX_ORDER)\n")
+
+
 class TestLongIntegers:
     """Integers past Python's default 4300-digit string limit print in full."""
 

@@ -197,16 +197,16 @@ class TestFieldLaws:
         assert got == ONE
 
     def test_compare_through_expansion(self):
-        assert rf_compare(ONE / (ONE - RO), ONE + RO, 5) == 1
+        assert rf_compare(ONE / (ONE - RO), ONE + RO) == 1
 
-    def test_compare_requires_enough_order(self):
+    def test_compare_decides_past_the_order(self):
         a = ONE / (ONE - RO)
         b = ONE + RO + (RO * RO) / (ONE - RO)
         assert a == b  # same canonical reduction
-        assert rf_compare(a, b, 4) == 0
+        assert rf_compare(a, b) == 0
         c = ONE + RO + RO * RO
-        with pytest.raises(IndistinguishableAtTruncation):
-            rf_compare(a, c, 1)
+        assert rf_compare(a, c) == 1  # a - c = o^3/(1-o); the old rule raised at order 1
+        assert rf_compare(c, a) == -1
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(DivisionByZero):
@@ -422,3 +422,52 @@ class TestCompletionTruncates:
         # 1 + 2o + O(o^2) says nothing about o^2: no polynomial may claim it is 0
         with pytest.raises(OrderExceedsKnown):
             completion_demo(OmegaNumber.from_terms({0: 1, 1: 2}, known_order=1), upto=4)
+
+
+def oracle_rf_compare(a, b, order=None):
+    """rf_compare as it was: the order of the two expansions at ``order``,
+    which raises when they agree through it."""
+    if a == b:
+        return 0
+    return compare(expand(a, order), expand(b, order))
+
+
+class TestExactCompare:
+    """rf_compare reads the sign off P/Q; the expansion order is its oracle."""
+
+    def test_agrees_with_the_expansion_wherever_it_decides(self, rng):
+        decided = 0
+        for _ in range(1000):
+            a, b = random_rf(rng), random_rf(rng)
+            got = rf_compare(a, b)  # never raises
+            assert got == -rf_compare(b, a)
+            assert (got == 0) == (a == b)
+            try:
+                want = oracle_rf_compare(a, b, rng.randint(0, 4))
+            except IndistinguishableAtTruncation:
+                continue
+            decided += 1
+            assert got == want
+        assert decided > 500  # the oracle decides most pairs
+
+    def test_decides_past_every_order(self):
+        a = ONE / (ONE - RO)
+        tail = RO ** 20
+        with pytest.raises(IndistinguishableAtTruncation):
+            oracle_rf_compare(a + tail, a)
+        assert rf_compare(a + tail, a) == 1
+        assert rf_compare(a - tail, a) == -1
+
+    def test_negative_lowest_denominator_coefficient(self):
+        # 1/(o-1): the monic denominator's lowest coefficient is -1,
+        # and the value is -1 - o - ... < 0.
+        x = ONE / (RO - ONE)
+        assert x.den == (F(-1), F(1))
+        assert rf_compare(x, RationalFunction.from_rational(0)) == -1
+        assert rf_compare(-x, RationalFunction.from_rational(0)) == 1
+
+    def test_poles_and_infinitesimals(self):
+        zero = RationalFunction.from_rational(0)
+        assert rf_compare(SIG, RationalFunction.from_rational(10 ** 9)) == 1
+        assert rf_compare(RO, zero) == 1
+        assert rf_compare(-RO / (ONE + RO), zero) == -1
