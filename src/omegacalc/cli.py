@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import gc
 import operator
 import os
+import re
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
@@ -238,6 +239,8 @@ def evaluate_rational(node) -> rational.RationalFunction:
 def format_value(value, mode: str, order: int) -> str:
     if isinstance(value, (OmegaNumber, ExtendedOmega)):
         if mode == "json":
+            import json  # only json requests pay for the import
+
             return json.dumps(to_json_dict(value))
         return render_plain(value)
     if isinstance(value, aleph_mod.AlephInt):
@@ -245,6 +248,8 @@ def format_value(value, mode: str, order: int) -> str:
     if isinstance(value, functions.RegularFunction):
         top = value.degree if value.degree is not None else order
         if mode == "json":
+            import json
+
             payload = {
                 "base_point": [value.base_point.numerator, value.base_point.denominator],
                 "degree": value.degree,
@@ -455,6 +460,35 @@ _COMMANDS = {
 }
 
 
+class _CommandParser:
+    """One command's ArgumentParser, built on first use and then kept, so
+    that a request builds the parser of its own command only.
+
+    argparse draws the top-level help, the command list and its
+    ``invalid choice`` errors from ``add_parser``'s keywords, not from
+    this parser.
+    """
+
+    def __init__(self, flags, **keywords):
+        self._flags, self._keywords = flags, keywords
+
+    @functools.cached_property
+    def _parser(self) -> argparse.ArgumentParser:
+        p = argparse.ArgumentParser(**self._keywords)
+        # argparse's own pattern plus -INT/INT, so that a negative rational
+        # such as `--seed -1/2` or `eval -1/2` is read as a value.
+        p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+        for flag, keywords in self._flags.items():
+            p.add_argument(flag, **keywords)
+        # SUPPRESS: an absent subcommand flag must not overwrite the top-level one.
+        p.add_argument("--order", type=_int_arg, default=argparse.SUPPRESS)
+        p.add_argument("--format", choices=("plain", "json"), default=argparse.SUPPRESS)
+        return p
+
+    def __getattr__(self, name):
+        return getattr(self._parser, name)
+
+
 def _build_argparser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="omega-calc",
@@ -465,14 +499,9 @@ def _build_argparser() -> argparse.ArgumentParser:
     top.add_argument("--order", type=_int_arg, default=DEFAULT_ORDER,
                      help=f"working truncation order (default {DEFAULT_ORDER})")
     top.add_argument("--format", choices=("plain", "json"), default="plain")
-    sub = top.add_subparsers(dest="command")
+    sub = top.add_subparsers(dest="command", parser_class=_CommandParser)
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command["help"])
-        for flag, keywords in command["args"].items():
-            p.add_argument(flag, **keywords)
-        # SUPPRESS: an absent subcommand flag must not overwrite the top-level one.
-        p.add_argument("--order", type=_int_arg, default=argparse.SUPPRESS)
-        p.add_argument("--format", choices=("plain", "json"), default=argparse.SUPPRESS)
+        sub.add_parser(name, help=command["help"], flags=command["args"])
     return top
 
 
@@ -547,6 +576,9 @@ def main(argv=None, out=None) -> int:
 
 
 def entrypoint():  # console-script shim
+    # What start-up and the imports built lives until exit: frozen, it is
+    # walked by no collection, the interpreter's final ones included.
+    gc.freeze()
     sys.exit(main())
 
 

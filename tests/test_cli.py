@@ -5,6 +5,7 @@ every command is run twice and must agree byte-for-byte with itself and
 with the frozen text.
 """
 
+import argparse
 import hashlib
 import io
 import json
@@ -669,6 +670,39 @@ class TestFlagsFollowTheGrammar:
         assert run_cli(["--order", "5", "eval", "o"]) == (2, "")
         assert capsys.readouterr().err == (
             "error: --order must be between 0 and 4 (cap set by OMEGA_MAX_ORDER)\n")
+
+
+class TestNegativeRationalArguments:
+    """A negative rational is a value, after a flag or as a positional;
+    any other argument that starts with '-' still follows '--'."""
+
+    CASES = [
+        (["lift", "poly[1,2]", "--target", "0", "--seed", "-1/2"], "-1/2\n"),
+        (["bsum", "poly[0,1]", "--from", "-1/2", "--steps", "2"], "-o + o^2\n"),
+        (["eval", "-1/2"], "-1/2\n"),
+        (["cmp", "-1/2", "-1/3"], "Less\n"),
+        (["eval", "--", "-o"], "-o\n"),
+    ]
+
+    @pytest.mark.parametrize("argv,expected", CASES, ids=[" ".join(a) for a, _ in CASES])
+    def test_runs(self, argv, expected):
+        assert run_cli(argv) == (0, expected)
+
+    def test_other_leading_minus_is_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(["eval", "-o"])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: the following arguments are required: expr\n")
+
+    def test_argparse_pattern_is_the_one_widened(self):
+        """The command parsers extend argparse's own negative-number
+        pattern; a change to it in argparse must be looked at."""
+        assert argparse.ArgumentParser()._negative_number_matcher.pattern == (
+            r"^-\d+$|^-\d*\.\d+$")
+        command = cli._build_argparser()._subparsers._group_actions[0].choices["eval"]
+        assert command._negative_number_matcher.pattern == (
+            r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
 
 class TestLongIntegers:

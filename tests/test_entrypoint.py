@@ -1,0 +1,100 @@
+"""The ``omega-calc`` entry point run as a real process.
+
+Each case runs ``python -m omegacalc.cli`` in a fresh interpreter and
+compares its stdout, stderr and exit code with ``cli.main`` called in
+this process on the same argv and stdin.
+"""
+
+import contextlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from omegacalc import cli
+
+from test_cli import ERROR_GOLDEN, GOLDEN
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Exit codes 0 (plain, json, a table, every command kind), 1, 2 and 3.
+SAMPLE = [GOLDEN[i][0] for i in (0, 16, 25, 26, 29, 37, 39, 44)]
+SAMPLE += [ERROR_GOLDEN[i][0] for i in (0, 1, 3, 4)]
+ARGV = SAMPLE + [
+    ["--help"],
+    ["eval", "--help"],
+    ["foo"],
+    [],
+    ["--format", "json", "ode", "poly[0,1]", "--p", "2", "--order", "2"],
+]
+
+
+@pytest.fixture(autouse=True)
+def _fixed_width(monkeypatch):
+    """argparse wraps help to the terminal width; fix it for both sides."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("OMEGA_MAX_ORDER", raising=False)
+
+
+def in_process(argv, stdin="", stdout=True):
+    """(exit code, stdout, stderr) of ``cli.main(argv)`` in this process;
+    ``stdout=False`` runs it as a process whose stdout is closed, with
+    ``sys.stdout`` None."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out if stdout else None), \
+            contextlib.redirect_stderr(err):
+        old_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            sys.stdin = old_stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def as_process(argv, stdin="", stdout=True):
+    """(exit code, stdout, stderr) of ``python -m omegacalc.cli argv``;
+    ``stdout=False`` closes the child's stdout before it starts."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8")
+    command = [sys.executable, "-m", "omegacalc.cli", *argv]
+    if not stdout:
+        command = ["sh", "-c", 'exec "$0" "$@" >&-', *command]
+    proc = subprocess.run(command, input=stdin, capture_output=True, encoding="utf-8",
+                          env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv", ARGV, ids=lambda argv: " ".join(argv) or "(none)")
+def test_process_matches_main(argv):
+    assert as_process(argv) == in_process(argv)
+
+
+@pytest.mark.parametrize("stdin,code", [
+    ("1+o\nsqrt(1+o)\n\n(1+o)^-1\n", 1),
+    ("1+o\nsqrt(1+o)\n", 0),
+    ("1+o\n1/0\n", 2),
+])
+def test_stdin_batch_matches_main(stdin, code):
+    got = as_process(["--order", "3", "eval", "-"], stdin)
+    assert got == in_process(["--order", "3", "eval", "-"], stdin)
+    assert got[0] == code
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (["eval", "1+o"], 0, ""),
+    (["eval", "1/0"], 2, "error: inverse of zero\n"),
+    (["eval", "("], 1, "error: parse error at offset 1: expected integer or name "
+                       "or '(' or '-'; found end of input\n"),
+    (["--help"], 0, None),  # argparse prints the help on stderr instead
+])
+def test_closed_stdout(argv, code, err):
+    """With stdout closed the result is dropped: the exit code and stderr stay."""
+    got = as_process(argv, stdout=False)
+    assert got == in_process(argv, stdout=False)
+    assert got[:2] == (code, "")
+    if err is not None:
+        assert got[2] == err

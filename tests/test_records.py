@@ -5,7 +5,10 @@ One instance of each record class is checked for equality, hashing,
 validate their fields keep their exception types and messages.
 """
 
+import argparse
 import copy
+import gc
+import io
 import os
 import pickle
 import subprocess
@@ -15,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from omegacalc import cli
 from omegacalc.aleph import AlephInt, GridPoint
 from omegacalc.errors import DomainError, OutOfDomain
 from omegacalc.functions import NsStarReport
@@ -298,3 +302,55 @@ def test_cli_import_loads_no_dataclasses_or_typing():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == ""
+
+
+def _fresh_cli(code: str) -> str:
+    """The stdout of ``code`` run after ``import omegacalc.cli`` in a fresh
+    ``-S`` interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("OMEGA_MAX_ORDER", None)
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", "import io, sys, omegacalc.cli as cli\n" + code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return out.stdout
+
+
+def test_cli_loads_json_for_json_output_only():
+    code = (
+        "cli.main(['eval', '1+o'], out=io.StringIO())\n"
+        "print('json' in sys.modules)\n"
+        "cli.main(['--format', 'json', 'eval', '1+o'], out=io.StringIO())\n"
+        "print('json' in sys.modules)"
+    )
+    assert _fresh_cli(code).split() == ["False", "True"]
+
+
+def test_one_shot_request_builds_its_own_command_parser_only(monkeypatch):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.main(["eval", "1+o"], out=io.StringIO()) == 0
+    assert progs == ["omega-calc", "omega-calc eval"]
+
+
+def test_main_leaves_the_collector_alone():
+    """Only the console-script entry point freezes the start-up objects."""
+    before = gc.get_freeze_count()
+    assert cli.main(["eval", "1+o"], out=io.StringIO()) == 0
+    assert gc.get_freeze_count() == before
+    code = (
+        "import gc\n"
+        "sys.argv = ['omega-calc', 'eval', '1+o']\n"
+        "try:\n"
+        "    cli.entrypoint()\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.get_freeze_count() > 0)"
+    )
+    assert _fresh_cli(code).split() == ["1", "+", "o", "0", "True"]
