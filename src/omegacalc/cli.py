@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 parse error (and nothing else), 2 math error
 or bad argument, 3 comparison or floor undecidable at the working
 truncation order.  Every error is one ``error: ...`` line on stderr,
 never a traceback, and no partial result is printed: ``eval -``
-evaluates every stdin line before it prints any.  The working
-order is the per-call ``--order`` flag (default 8), capped by the
-OMEGA_MAX_ORDER environment variable (default 32).
+evaluates every stdin line before it prints any.  A closed stdout, or
+a pipe whose reader has gone, drops the result and keeps the exit code.
+The working order is the per-call ``--order`` flag (default 8), capped
+by the OMEGA_MAX_ORDER environment variable (default 32).
 
 ``-i`` evaluates one stdin line at a time (blank and ``#`` lines skipped),
 reports a failed line on stderr as ``error: ...`` and goes on; it exits 0
@@ -22,7 +23,7 @@ import operator
 import os
 import re
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from . import aleph as aleph_mod
@@ -237,6 +238,9 @@ def evaluate_rational(node) -> rational.RationalFunction:
 
 
 def format_value(value, mode: str, order: int) -> str:
+    """A command's value as printed text; a ``str`` is printed as it is."""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (OmegaNumber, ExtendedOmega)):
         if mode == "json":
             import json  # only json requests pay for the import
@@ -274,11 +278,11 @@ def _aligned(rows: list[list[str]]) -> str:
     )
 
 
-def _grid(corner: str, rows: Iterable, cols: Sequence, cell: Callable) -> str:
+def _grid(corner: str, rows: Iterable, cols: Iterable, row: Callable) -> str:
     """The table with header ``corner, *cols`` and, for each r in rows, the
-    row ``r, cell(r, c) for c in cols``, filled row by row."""
+    row ``r, *row(r)``."""
     return _aligned([[corner] + [str(c) for c in cols]]
-                    + [[str(r)] + [str(cell(r, c)) for c in cols] for r in rows])
+                    + [[str(r)] + [str(cell) for cell in row(r)] for r in rows])
 
 
 def table_text(name: str, max_order: int, p: int = 1) -> str:
@@ -287,22 +291,21 @@ def table_text(name: str, max_order: int, p: int = 1) -> str:
         raise OmegaError("--max must be at least 1")
     span = range(1, M + 1)
     if name == "bernoulli":
-        return _grid("p", range(M + 1), ["B_p"], lambda i, _: calculus.bernoulli(i))
+        return _grid("p", range(M + 1), ["B_p"], lambda i: [calculus.bernoulli(i)])
     if name in ("dtoD", "Dtod"):
-        # Row r holds its entries from column r on; one read per row.
+        # Row r holds its entries from column r on.
         table = calculus.d_to_D if name == "dtoD" else calculus.D_to_d
-        row = functools.lru_cache(maxsize=1)(lambda r: table(r, M))
         return _grid("p\\n" if name == "dtoD" else "n\\p", span, span,
-                     lambda r, c: row(r)[c - r] if c >= r else 0)
+                     lambda r: [0] * (r - 1) + table(r, M))
     if name == "X":
-        return _grid("p\\n", span, span, calculus.x_coeff)
+        return _grid("p\\n", span, span, lambda pp: [calculus.x_coeff(pp, n) for n in span])
     if name == "K":
-        return _grid("p\\n", span, span,
-                     lambda pp, n: calculus.k_coeff(pp - 1, pp - n) if n <= pp else ".")
+        return _grid("p\\n", span, span, lambda pp: [
+            calculus.k_coeff(pp - 1, pp - n) for n in range(1, pp + 1)] + ["."] * (M - pp))
     if name in ("a", "ap"):
         p = 1 if name == "a" else p
-        return _grid("m\\l", range(M + 1), range(1, M + p + 1),
-                     lambda m, l: calculus.a_coeff_p(p, m, l) if l <= m + p else ".")
+        return _grid("m\\l", range(M + 1), range(1, M + p + 1), lambda m: [
+            calculus.a_coeff_p(p, m, l) for l in range(1, m + p + 1)] + ["."] * (M - m))
     raise OmegaError(f"unknown table {name!r}")
 
 
@@ -335,17 +338,14 @@ def _rational_arg(text: str, flag: str) -> Fraction:
         raise DomainError(f"{flag} must be a rational number, got {text!r}") from None
 
 
-def _value_line(text: str, order, mode) -> str:
-    return format_value(evaluate(parser.parse(text), order), mode, order)
-
-
-def _cmd_eval(args, order, mode) -> list[str]:
+def _cmd_eval(args, order) -> Iterable:
     if args.expr != "-":
-        return [_value_line(args.expr, order, mode)]
-    return [_value_line(line.strip(), order, mode) for line in sys.stdin if line.strip()]
+        return [evaluate(parser.parse(args.expr), order)]
+    # A generator: reading stdin stops at the first line that fails.
+    return (evaluate(parser.parse(line.strip()), order) for line in sys.stdin if line.strip())
 
 
-def _cmd_cmp(args, order, mode) -> list[str]:
+def _cmd_cmp(args, order) -> list[str]:
     lhs = evaluate(parser.parse(args.left), order)
     rhs = evaluate(parser.parse(args.right), order)
     for v in (lhs, rhs):
@@ -354,65 +354,59 @@ def _cmd_cmp(args, order, mode) -> list[str]:
     return [_ORDERING_WORDS[compare_extended(lhs, rhs)]]
 
 
-def _cmd_table(args, order, mode) -> list[str]:
+def _cmd_table(args, order) -> list[str]:
     return [table_text(args.name, args.max, args.p)]
 
 
-def _cmd_diff(args, order, mode) -> list[str]:
+def _cmd_diff(args, order) -> list:
     F = _parse_func_arg(args.func, order)
     at = _number(parser.parse(args.at), order)
-    value = _difference("d" if args.leibniz else "D", F, at, args.p, order)
-    return [format_value(value, mode, order)]
+    return [_difference("d" if args.leibniz else "D", F, at, args.p, order)]
 
 
-def _cmd_sum(args, order, mode) -> list[str]:
+def _cmd_sum(args, order) -> list:
     F = _parse_func_arg(args.func, order)
-    G = _summation(F, 1, [_number(parser.parse(args.a0), order)], order)
-    return [format_value(G, mode, order)]
+    return [_summation(F, 1, [_number(parser.parse(args.a0), order)], order)]
 
 
-def _cmd_bsum(args, order, mode) -> list[str]:
+def _cmd_bsum(args, order) -> list:
     F = _parse_func_arg(args.func, order)
     t = _rational_arg(getattr(args, "from"), "--from")
-    return [format_value(calculus.brute_sum(F, t, args.steps, order=order), mode, order)]
+    return [calculus.brute_sum(F, t, args.steps, order=order)]
 
 
-def _cmd_ode(args, order, mode) -> list[str]:
+def _cmd_ode(args, order) -> list:
     F = _parse_func_arg(args.func, order)
     inits = [_number(parser.parse(text), order) for text in args.init or []]
-    return [format_value(_summation(F, args.p, inits, order), mode, order)]
+    return [_summation(F, args.p, inits, order)]
 
 
-def _cmd_lift(args, order, mode) -> list[str]:
+def _cmd_lift(args, order) -> list:
     F = _parse_func_arg(args.func, order)
     y = _number(parser.parse(args.target), order)
-    value = functions.solve_lift(F, y, _rational_arg(args.seed, "--seed"), order=order)
-    return [format_value(value, mode, order)]
+    return [functions.solve_lift(F, y, _rational_arg(args.seed, "--seed"), order=order)]
 
 
-def _cmd_expand(args, order, mode) -> list[str]:
-    rf = evaluate_rational(parser.parse(args.expr))
-    return [format_value(rational.expand(rf, order=order), mode, order)]
+def _cmd_expand(args, order) -> list:
+    return [rational.expand(evaluate_rational(parser.parse(args.expr)), order=order)]
 
 
-def _cmd_aleph(args, order, mode) -> list[str]:
+def _cmd_aleph(args, order) -> list:
     op, texts = args.op, args.args
     arity = 2 if op in ("add", "mul", "div") else 1
     if len(texts) != arity:
         raise OmegaError(f"aleph {op} takes {arity} argument(s), got {len(texts)}")
     if op == "div":
         b, a = (_number(parser.parse(text), order) for text in texts)
-        result = aleph_mod.archimedean_division(a, b, order=order)
-    else:
-        L = [aleph_mod.aleph_from_omega(_number(parser.parse(text), order)) for text in texts]
-        if op == "member":
-            return ["true" if L[0].in_aleph_plus() else "false"]
-        result = {"succ": aleph_mod.successor, "pred": aleph_mod.predecessor,
-                  "add": aleph_mod.oplus, "mul": aleph_mod.odiamond}[op](*L)
-    return [format_value(result, mode, order)]
+        return [aleph_mod.archimedean_division(a, b, order=order)]
+    L = [aleph_mod.aleph_from_omega(_number(parser.parse(text), order)) for text in texts]
+    if op == "member":
+        return ["true" if L[0].in_aleph_plus() else "false"]
+    return [{"succ": aleph_mod.successor, "pred": aleph_mod.predecessor,
+             "add": aleph_mod.oplus, "mul": aleph_mod.odiamond}[op](*L)]
 
 
-def _cmd_demo(args, order, mode) -> list[str]:
+def _cmd_demo(args, order) -> list[str]:
     if args.name != "leibniz-pi":
         raise OmegaError(f"unknown demo {args.name!r}")
     if args.terms < 0:
@@ -514,15 +508,15 @@ def _max_order() -> int | None:
     return cap if cap >= 0 else None
 
 
-def _report(run, out) -> int:
-    """Call run() for a command's output lines and print them on ``out``.
+def _report(run, mode: str, order: int, out) -> int:
+    """Call run() for a command's values and print them on ``out``.
 
-    The lines are printed only once run() has returned, so a failure
-    prints nothing on ``out``: it prints one ``error:`` line on stderr
-    and gives the failure's exit code.
+    Every value is rendered by format_value before any line is printed,
+    so a failure prints nothing on ``out``: it prints one ``error:`` line
+    on stderr and gives the failure's exit code.
     """
     try:
-        lines = run()
+        lines = [format_value(value, mode, order) for value in run()]
     except ParseError as exc:
         code, message = 1, str(exc)
     except IndistinguishableAtTruncation as exc:
@@ -543,7 +537,7 @@ def _repl(order: int, mode: str, out) -> int:
     for line in sys.stdin:
         line = line.strip()
         if line and not line.startswith("#"):
-            _report(lambda: [_value_line(line, order, mode)], out)
+            _report(lambda: [evaluate(parser.parse(line), order)], mode, order, out)
     return 0
 
 
@@ -572,14 +566,25 @@ def main(argv=None, out=None) -> int:
         top.print_usage(sys.stderr)
         return 2
     run = _COMMANDS[args.command]["run"]
-    return _report(lambda: run(args, args.order, args.format), out)
+    return _report(lambda: run(args, args.order), args.format, args.order, out)
 
 
 def entrypoint():  # console-script shim
     # What start-up and the imports built lives until exit: frozen, it is
     # walked by no collection, the interpreter's final ones included.
     gc.freeze()
-    sys.exit(main())
+    code = 0  # a request that reached its print succeeded
+    try:
+        try:
+            code = main()
+        finally:  # argparse's --help exits through here too
+            if sys.stdout is not None:
+                sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: drop the result, as with a closed stdout, and
+        # point stdout at the null device so the flush at exit succeeds.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

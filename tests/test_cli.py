@@ -277,6 +277,59 @@ class TestJsonReparse:
         assert value == OmegaNumber.from_terms({-2: 1, 0: F(-1, 2)})
 
 
+JSON_GOLDEN = [
+    # (argv, expected stdout) under --format json, one case per command;
+    # cmp, aleph member, table and demo print their plain text.
+    (["eval", "1+o"],
+     '{"valuation": 0, "coefficients": [[1, 1], [1, 1]], "known_order": null, '
+     '"infinite_moment": null}\n'),
+    (["cmp", "1", "o"], "Greater\n"),
+    (["table", "bernoulli", "--max", "2"], "p   B_p\n0     1\n1  -1/2\n2   1/6\n"),
+    (["diff", "poly[0,0,0,1]", "--p", "3"],
+     '{"valuation": 3, "coefficients": [[6, 1]], "known_order": null, '
+     '"infinite_moment": null}\n'),
+    (["sum", "exp", "--order", "1"],
+     '{"base_point": [0, 1], "degree": null, "coefficients": ['
+     '{"valuation": null, "coefficients": [], "known_order": null, "infinite_moment": null}, '
+     '{"valuation": 0, "coefficients": [[1, 1], [-1, 2]], "known_order": 1, '
+     '"infinite_moment": null}]}\n'),
+    (["bsum", "poly[0,0,1]", "--steps", "5"],
+     '{"valuation": 3, "coefficients": [[30, 1]], "known_order": null, '
+     '"infinite_moment": null}\n'),
+    (["ode", "poly[0,1]", "--p", "2", "--order", "2"],
+     '{"base_point": [0, 1], "degree": 3, "coefficients": ['
+     '{"valuation": null, "coefficients": [], "known_order": null, "infinite_moment": null}, '
+     '{"valuation": 2, "coefficients": [[1, 3]], "known_order": null, "infinite_moment": null}, '
+     '{"valuation": 1, "coefficients": [[-1, 2]], "known_order": null, "infinite_moment": null}, '
+     '{"valuation": 0, "coefficients": [[1, 6]], "known_order": null, '
+     '"infinite_moment": null}]}\n'),
+    (["lift", "poly[0,0,0,1]", "--target", "8+o", "--seed", "2", "--order", "2"],
+     '{"valuation": 0, "coefficients": [[2, 1], [1, 12], [-1, 288]], "known_order": 2, '
+     '"infinite_moment": null}\n'),
+    (["expand", "1/o"],
+     '{"valuation": -1, "coefficients": [[1, 1]], "known_order": null, '
+     '"infinite_moment": null}\n'),
+    (["aleph", "succ", "S^2+3"],
+     '{"valuation": -2, "coefficients": [[1, 1], [0, 1], [4, 1]], "known_order": null, '
+     '"infinite_moment": null}\n'),
+    (["aleph", "member", "S"], "true\n"),
+    (["aleph", "div", "S", "2"],
+     '{"valuation": -1, "coefficients": [[1, 2]], "known_order": null, '
+     '"infinite_moment": null}\n'),
+    (["demo", "leibniz-pi", "--terms", "2"], "1\n2/3\n"),
+]
+
+
+class TestJsonEveryCommand:
+    @pytest.mark.parametrize("argv,expected", JSON_GOLDEN,
+                             ids=[" ".join(g[0]) for g in JSON_GOLDEN])
+    def test_json_output(self, argv, expected):
+        assert run_cli(["--format", "json", *argv]) == (0, expected)
+
+    def test_every_command_is_pinned(self):
+        assert {argv[0] for argv, _ in JSON_GOLDEN} == set(cli._COMMANDS)
+
+
 class TestRepl:
     def test_reads_lines_from_stdin(self, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("o*S\n\n1+1\n"))

@@ -56,16 +56,38 @@ def in_process(argv, stdin="", stdout=True):
     return code, out.getvalue(), err.getvalue()
 
 
+def _child_env():
+    return dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8")
+
+
 def as_process(argv, stdin="", stdout=True):
     """(exit code, stdout, stderr) of ``python -m omegacalc.cli argv``;
     ``stdout=False`` closes the child's stdout before it starts."""
-    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8")
     command = [sys.executable, "-m", "omegacalc.cli", *argv]
     if not stdout:
         command = ["sh", "-c", 'exec "$0" "$@" >&-', *command]
     proc = subprocess.run(command, input=stdin, capture_output=True, encoding="utf-8",
-                          env=env, timeout=60)
+                          env=_child_env(), timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def as_broken_pipe(argv, stdin, unbuffered):
+    """(exit code, stdout, stderr) of ``python -m omegacalc.cli argv`` whose
+    stdout is a pipe with its read end already closed, so every write to it
+    fails; ``unbuffered`` sets PYTHONUNBUFFERED."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "omegacalc.cli", *argv], input=stdin,
+                              stdout=write_end, stderr=subprocess.PIPE, encoding="utf-8",
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    return proc.returncode, "", proc.stderr
 
 
 @pytest.mark.parametrize("argv", ARGV, ids=lambda argv: " ".join(argv) or "(none)")
@@ -98,3 +120,26 @@ def test_closed_stdout(argv, code, err):
     assert got[:2] == (code, "")
     if err is not None:
         assert got[2] == err
+
+
+BROKEN_PIPE = [
+    # (argv, stdin)
+    (["eval", "1+o"], ""),
+    (["eval", "(1+o)^3000"], ""),  # about 2 MB, more than the pipe and stdout buffers hold
+    (["-i"], "1/0\n1+o\n2*o\n"),
+    (["eval", "-"], "1+o\n2*o\n"),
+    (["eval", "1/0"], ""),
+]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv,stdin", BROKEN_PIPE, ids=[" ".join(a) for a, _ in BROKEN_PIPE])
+def test_broken_pipe(argv, stdin, unbuffered):
+    """A reader that has gone drops the result as a closed stdout does:
+    no traceback, and the exit code and stderr of the computation."""
+    assert as_broken_pipe(argv, stdin, unbuffered) == in_process(argv, stdin, stdout=False)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_broken_pipe_help(unbuffered):
+    assert as_broken_pipe(["--help"], "", unbuffered) == (0, "", "")
