@@ -1,11 +1,12 @@
-"""omega-calc: command dispatcher and canonical formatter.
+"""omega-calc: command table, dispatch and formatting.
 
 Exit codes: 0 success, 1 parse error (and nothing else), 2 math error
 or bad argument, 3 comparison or floor undecidable at the working
 truncation order.  Every error is one ``error: ...`` line on stderr,
 never a traceback, and no partial result is printed: ``eval -``
 evaluates every stdin line before it prints any.  A closed stdout, or
-a pipe whose reader has gone, drops the result and keeps the exit code.
+a pipe whose reader has gone, drops the result and keeps the exit code;
+so does a gone stderr for its ``error:`` lines.
 The working order is the per-call ``--order`` flag (default 8), capped
 by the OMEGA_MAX_ORDER environment variable (default 32).
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import operator
 import os
 import re
 import sys
@@ -29,6 +29,7 @@ from fractions import Fraction
 from . import aleph as aleph_mod
 from . import calculus, functions, parser, rational
 from .errors import DomainError, IndistinguishableAtTruncation, OmegaError
+from .expr import difference, evaluate, evaluate_rational, number, summation
 from .omega import (
     DEFAULT_ORDER,
     ExtendedOmega,
@@ -37,199 +38,9 @@ from .omega import (
     render_plain,
     to_json_dict,
 )
-from .parser import (
-    Apply,
-    BinOp,
-    DiffForm,
-    FuncRef,
-    IntForm,
-    Lit,
-    Neg,
-    ParseError,
-    PolyFunc,
-    Pow,
-    SolveForm,
-    Sym,
-)
+from .parser import ParseError
 
 _ORDERING_WORDS = {-1: "Less", 0: "Equal", 1: "Greater"}
-
-
-# ---------------------------------------------------------------------------
-# Expression evaluation
-# ---------------------------------------------------------------------------
-
-
-def evaluate(node, order: int):
-    """Evaluate an AST node to an OmegaNumber, ExtendedOmega or function."""
-    if isinstance(node, Lit):
-        return OmegaNumber.from_rational(node.value)
-    if isinstance(node, Sym):
-        if node.name == "o":
-            return OmegaNumber.o()
-        if node.name == "S":
-            return OmegaNumber.sigma()
-        return ExtendedOmega.epsilon()
-    if isinstance(node, Neg):
-        value = evaluate(node.operand, order)
-        if not isinstance(value, ExtendedOmega):
-            _require_number(value)
-        return -value
-    if isinstance(node, BinOp):
-        return _eval_binop(node, order)
-    if isinstance(node, Pow):
-        return _number(node.base, order).pow_rational(node.exponent, order=order)
-    if isinstance(node, (FuncRef, PolyFunc, IntForm)):
-        return _eval_func(node, order)
-    if isinstance(node, DiffForm):
-        _eval_func(node.func, order)  # the function's own errors come first
-        raise OmegaError("an operator form must be applied to a point")
-    if isinstance(node, SolveForm):
-        F = _eval_func(node.func, order)
-        return functions.solve_lift(F, _number(node.target, order), node.seed, order=order)
-    if isinstance(node, Apply):
-        return _eval_apply(node, order)
-    raise OmegaError(f"cannot evaluate node {node!r}")
-
-
-def _require_number(value):
-    if isinstance(value, ExtendedOmega):
-        raise OmegaError("extended numbers support comparison only")
-    if not isinstance(value, OmegaNumber):
-        raise OmegaError("a function value appears where a number is needed")
-
-
-def _number(node, order: int) -> OmegaNumber:
-    """Evaluate a node that must give a plain number."""
-    value = evaluate(node, order)
-    _require_number(value)
-    return value
-
-
-def _left_spine(node):
-    """The leftmost operand of a BinOp chain and its ``(op, right)`` steps, in order.
-
-    A loop, not recursion: a long chain like 1+1+...+1 is a deep
-    left-nested tree, which recursion would take two frames per term for.
-    """
-    steps = []
-    while isinstance(node, BinOp):
-        steps.append((node.op, node.right))
-        node = node.left
-    steps.reverse()
-    return node, steps
-
-
-def _eval_binop(node: BinOp, order: int):
-    first, steps = _left_spine(node)
-    value = evaluate(first, order)
-    for op, right in steps:
-        value = _apply_binop(op, value, evaluate(right, order), order)
-    return value
-
-
-def _apply_binop(op: str, lhs, rhs, order: int):
-    if isinstance(lhs, ExtendedOmega) or isinstance(rhs, ExtendedOmega):
-        return _eval_extended_binop(op, lhs, rhs)
-    _require_number(lhs)
-    _require_number(rhs)
-    if op == "+":
-        return lhs + rhs
-    if op == "-":
-        return lhs - rhs
-    if op == "*":
-        return lhs * rhs
-    return lhs * rhs.invert(order=order)
-
-
-def _eval_extended_binop(op: str, lhs, rhs):
-    # Construction sugar only: an exact finite part may be attached below
-    # the infinite moment, and a monomial scale moves the moment.  The
-    # extended values themselves have no ring structure.
-    ext, other = (lhs, rhs) if isinstance(lhs, ExtendedOmega) else (rhs, lhs)
-    if op == "/" or not isinstance(other, OmegaNumber):
-        raise OmegaError("extended numbers support comparison only")
-    if op == "*":
-        terms = list(other.terms())
-        if not other.is_exact() or len(terms) != 1:
-            raise OmegaError("an infinite moment can only be scaled by a monomial")
-        [(exponent, coefficient)] = terms
-        return ExtendedOmega(ext.prefix * other, ext.position + exponent,
-                             ext.sign * (1 if coefficient > 0 else -1))
-    if op == "-":
-        ext, other = (ext, -other) if ext is lhs else (-ext, other)
-    return ExtendedOmega(ext.prefix + other, ext.position, ext.sign)
-
-
-def _eval_func(node, order: int) -> functions.RegularFunction:
-    if isinstance(node, FuncRef):
-        return functions.builtin(node.name)
-    if isinstance(node, PolyFunc):
-        return functions.RegularFunction.polynomial([_number(c, order) for c in node.coeffs])
-    if isinstance(node, IntForm):
-        F = _eval_func(node.func, order)
-        return _summation(F, node.order, [_number(c, order) for c in node.inits], order)
-    raise OmegaError(f"not a function form: {node!r}")
-
-
-def _summation(F: functions.RegularFunction, p: int, inits: list, order: int):
-    """The p-fold summation of F with initial values ``inits`` (missing ones are 0)."""
-    if len(inits) > p:
-        raise OmegaError("more initial conditions than the system order")
-    inits = inits + [OmegaNumber.zero()] * (p - len(inits))
-    if p == 1:
-        return calculus.integrate(F, inits[0], order=order)
-    return calculus.solve_ode(F, p, inits, order=order)
-
-
-def _difference(kind: str, F: functions.RegularFunction, at: OmegaNumber, p: int, order: int):
-    """D^p F (kind "D") or d^p F (kind "d") at the point ``at``."""
-    u = at - OmegaNumber.from_rational(F.base_point)
-    if kind == "D":
-        return calculus.finite_difference(F, u, p, order=order)
-    return calculus.leibniz_differential(F, u, p, order=order)
-
-
-def _eval_apply(node: Apply, order: int):
-    form = node.func
-    if isinstance(form, DiffForm):
-        F = _eval_func(form.func, order)
-        return _difference(form.kind, F, _number(node.arg, order), form.order, order)
-    head = evaluate(form, order)
-    arg = _number(node.arg, order)
-    if isinstance(head, functions.RegularFunction):
-        u = arg - OmegaNumber.from_rational(head.base_point)
-        return head.eval(u, order=order)
-    raise OmegaError("only functions and operator forms can be applied")
-
-
-_RATIONAL_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-
-
-def evaluate_rational(node) -> rational.RationalFunction:
-    """Evaluate an expression in the field of rational functions of o."""
-    RF = rational.RationalFunction
-    if isinstance(node, Lit):
-        return RF.from_rational(node.value)
-    if isinstance(node, Sym):
-        if node.name == "o":
-            return RF.o()
-        if node.name == "S":
-            return RF.sigma()
-        raise OmegaError("eps is not a rational function")
-    if isinstance(node, Neg):
-        return -evaluate_rational(node.operand)
-    if isinstance(node, BinOp):
-        first, steps = _left_spine(node)
-        value = evaluate_rational(first)
-        for op, right in steps:
-            value = _RATIONAL_OPS[op](value, evaluate_rational(right))
-        return value
-    if isinstance(node, Pow):
-        if node.exponent.denominator != 1:
-            raise OmegaError("rational functions support integer powers only")
-        return evaluate_rational(node.base) ** node.exponent.numerator
-    raise OmegaError("not a rational-function expression")
 
 
 # ---------------------------------------------------------------------------
@@ -242,27 +53,25 @@ def format_value(value, mode: str, order: int) -> str:
     if isinstance(value, str):
         return value
     if isinstance(value, (OmegaNumber, ExtendedOmega)):
-        if mode == "json":
-            import json  # only json requests pay for the import
-
-            return json.dumps(to_json_dict(value))
-        return render_plain(value)
-    if isinstance(value, aleph_mod.AlephInt):
+        if mode != "json":
+            return render_plain(value)
+        payload = to_json_dict(value)
+    elif isinstance(value, aleph_mod.AlephInt):
         return format_value(value.to_omega(), mode, order)
-    if isinstance(value, functions.RegularFunction):
+    elif isinstance(value, functions.RegularFunction):
         top = value.degree if value.degree is not None else order
-        if mode == "json":
-            import json
+        if mode != "json":
+            return "\n".join(f"a_{n} = {render_plain(value.coeff(n))}" for n in range(top + 1))
+        payload = {
+            "base_point": [value.base_point.numerator, value.base_point.denominator],
+            "degree": value.degree,
+            "coefficients": [to_json_dict(value.coeff(n)) for n in range(top + 1)],
+        }
+    else:
+        raise OmegaError(f"cannot format {value!r}")
+    import json  # only json requests pay for the import
 
-            payload = {
-                "base_point": [value.base_point.numerator, value.base_point.denominator],
-                "degree": value.degree,
-                "coefficients": [to_json_dict(value.coeff(n)) for n in range(top + 1)],
-            }
-            return json.dumps(payload)
-        lines = [f"a_{n} = {render_plain(value.coeff(n))}" for n in range(top + 1)]
-        return "\n".join(lines)
-    raise OmegaError(f"cannot format {value!r}")
+    return json.dumps(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +169,13 @@ def _cmd_table(args, order) -> list[str]:
 
 def _cmd_diff(args, order) -> list:
     F = _parse_func_arg(args.func, order)
-    at = _number(parser.parse(args.at), order)
-    return [_difference("d" if args.leibniz else "D", F, at, args.p, order)]
+    at = number(parser.parse(args.at), order)
+    return [difference("d" if args.leibniz else "D", F, at, args.p, order)]
 
 
 def _cmd_sum(args, order) -> list:
     F = _parse_func_arg(args.func, order)
-    return [_summation(F, 1, [_number(parser.parse(args.a0), order)], order)]
+    return [summation(F, 1, [number(parser.parse(args.a0), order)], order)]
 
 
 def _cmd_bsum(args, order) -> list:
@@ -377,13 +186,13 @@ def _cmd_bsum(args, order) -> list:
 
 def _cmd_ode(args, order) -> list:
     F = _parse_func_arg(args.func, order)
-    inits = [_number(parser.parse(text), order) for text in args.init or []]
-    return [_summation(F, args.p, inits, order)]
+    inits = [number(parser.parse(text), order) for text in args.init or []]
+    return [summation(F, args.p, inits, order)]
 
 
 def _cmd_lift(args, order) -> list:
     F = _parse_func_arg(args.func, order)
-    y = _number(parser.parse(args.target), order)
+    y = number(parser.parse(args.target), order)
     return [functions.solve_lift(F, y, _rational_arg(args.seed, "--seed"), order=order)]
 
 
@@ -397,9 +206,9 @@ def _cmd_aleph(args, order) -> list:
     if len(texts) != arity:
         raise OmegaError(f"aleph {op} takes {arity} argument(s), got {len(texts)}")
     if op == "div":
-        b, a = (_number(parser.parse(text), order) for text in texts)
+        b, a = (number(parser.parse(text), order) for text in texts)
         return [aleph_mod.archimedean_division(a, b, order=order)]
-    L = [aleph_mod.aleph_from_omega(_number(parser.parse(text), order)) for text in texts]
+    L = [aleph_mod.aleph_from_omega(number(parser.parse(text), order)) for text in texts]
     if op == "member":
         return ["true" if L[0].in_aleph_plus() else "false"]
     return [{"succ": aleph_mod.successor, "pred": aleph_mod.predecessor,
@@ -508,6 +317,19 @@ def _max_order() -> int | None:
     return cap if cap >= 0 else None
 
 
+def _print(text: str, stream):
+    """Print a line on ``stream``; once its reader has gone, drop it and every later one."""
+    try:
+        print(text, file=stream)
+    except BrokenPipeError:
+        _drop_output(stream)
+
+
+def _drop_output(stream):
+    """Point ``stream``'s file at the null device: later writes and the flush at exit succeed."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def _report(run, mode: str, order: int, out) -> int:
     """Call run() for a command's values and print them on ``out``.
 
@@ -527,9 +349,9 @@ def _report(run, mode: str, order: int, out) -> int:
         code, message = 2, "expression nested too deeply"
     else:
         for line in lines:
-            print(line, file=out)
+            _print(line, out)
         return 0
-    print(f"error: {message}", file=sys.stderr)
+    _print(f"error: {message}", sys.stderr)
     return code
 
 
@@ -550,14 +372,11 @@ def main(argv=None, out=None) -> int:
 
     cap = _max_order()
     if cap is None:
-        print("error: OMEGA_MAX_ORDER must be a nonnegative integer", file=sys.stderr)
+        _print("error: OMEGA_MAX_ORDER must be a nonnegative integer", sys.stderr)
         return 2
     if args.order < 0 or args.order > cap:
-        print(
-            f"error: --order must be between 0 and {cap} "
-            "(cap set by OMEGA_MAX_ORDER)",
-            file=sys.stderr,
-        )
+        _print(f"error: --order must be between 0 and {cap} (cap set by OMEGA_MAX_ORDER)",
+               sys.stderr)
         return 2
 
     if args.interactive:
@@ -573,17 +392,18 @@ def entrypoint():  # console-script shim
     # What start-up and the imports built lives until exit: frozen, it is
     # walked by no collection, the interpreter's final ones included.
     gc.freeze()
-    code = 0  # a request that reached its print succeeded
+    code = 0
     try:
-        try:
-            code = main()
-        finally:  # argparse's --help exits through here too
-            if sys.stdout is not None:
-                sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader is gone: drop the result, as with a closed stdout, and
-        # point stdout at the null device so the flush at exit succeeds.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = main()
+    except BrokenPipeError:  # argparse's own output, which Python 3.10 lets through
+        pass
+    finally:  # --help and argparse's usage errors exit through here too
+        for stream in (sys.stdout, sys.stderr):  # a gone reader drops what is buffered
+            if stream is not None:
+                try:
+                    stream.flush()
+                except BrokenPipeError:
+                    _drop_output(stream)
     sys.exit(code)
 
 

@@ -71,10 +71,11 @@ def as_process(argv, stdin="", stdout=True):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def as_broken_pipe(argv, stdin, unbuffered):
+def as_broken_pipe(argv, stdin, unbuffered, stderr_too=False):
     """(exit code, stdout, stderr) of ``python -m omegacalc.cli argv`` whose
     stdout is a pipe with its read end already closed, so every write to it
-    fails; ``unbuffered`` sets PYTHONUNBUFFERED."""
+    fails; ``unbuffered`` sets PYTHONUNBUFFERED, and ``stderr_too`` puts
+    stderr on the same pipe, as ``2>&1 | true`` does."""
     env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -83,11 +84,12 @@ def as_broken_pipe(argv, stdin, unbuffered):
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "omegacalc.cli", *argv], input=stdin,
-                              stdout=write_end, stderr=subprocess.PIPE, encoding="utf-8",
-                              env=env, timeout=60)
+                              stdout=write_end,
+                              stderr=write_end if stderr_too else subprocess.PIPE,
+                              encoding="utf-8", env=env, timeout=60)
     finally:
         os.close(write_end)
-    return proc.returncode, "", proc.stderr
+    return proc.returncode, "", proc.stderr or ""
 
 
 @pytest.mark.parametrize("argv", ARGV, ids=lambda argv: " ".join(argv) or "(none)")
@@ -122,18 +124,24 @@ def test_closed_stdout(argv, code, err):
         assert got[2] == err
 
 
-BROKEN_PIPE = [
-    # (argv, stdin)
-    (["eval", "1+o"], ""),
-    (["eval", "(1+o)^3000"], ""),  # about 2 MB, more than the pipe and stdout buffers hold
-    (["-i"], "1/0\n1+o\n2*o\n"),
-    (["eval", "-"], "1+o\n2*o\n"),
-    (["eval", "1/0"], ""),
-]
+# Each case by its test id: (argv, stdin).
+BROKEN_PIPE = {
+    "eval 1+o": (["eval", "1+o"], ""),
+    # about 2 MB, more than the pipe and stdout buffers hold
+    "eval (1+o)^3000": (["eval", "(1+o)^3000"], ""),
+    "-i": (["-i"], "1/0\n1+o\n2*o\n"),
+    "eval -": (["eval", "-"], "1+o\n2*o\n"),
+    "eval 1/0": (["eval", "1/0"], ""),
+    "-i error after a result": (["-i"], "1+o\n1/0\n"),
+}
+# The stderr of these shares the gone pipe; (1+o)^3000 takes seconds and
+# adds nothing on stderr.
+STDERR_TOO = {name: case for name, case in BROKEN_PIPE.items() if "3000" not in name}
+STDERR_TOO["eval ("] = (["eval", "("], "")
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv,stdin", BROKEN_PIPE, ids=[" ".join(a) for a, _ in BROKEN_PIPE])
+@pytest.mark.parametrize("argv,stdin", BROKEN_PIPE.values(), ids=BROKEN_PIPE)
 def test_broken_pipe(argv, stdin, unbuffered):
     """A reader that has gone drops the result as a closed stdout does:
     no traceback, and the exit code and stderr of the computation."""
@@ -143,3 +151,11 @@ def test_broken_pipe(argv, stdin, unbuffered):
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_broken_pipe_help(unbuffered):
     assert as_broken_pipe(["--help"], "", unbuffered) == (0, "", "")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv,stdin", STDERR_TOO.values(), ids=STDERR_TOO)
+def test_broken_pipe_with_stderr(argv, stdin, unbuffered):
+    """With stderr on the gone pipe too, the exit code is the computation's."""
+    code = in_process(argv, stdin, stdout=False)[0]
+    assert as_broken_pipe(argv, stdin, unbuffered, stderr_too=True) == (code, "", "")

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from omegacalc import cli
+from omegacalc import cli, expr
 from omegacalc.aleph import AlephInt, GridPoint
 from omegacalc.errors import DomainError, OutOfDomain
 from omegacalc.functions import NsStarReport
@@ -286,22 +286,36 @@ def test_aleph_int_checks(value, message):
     assert str(info.value) == message
 
 
-def test_cli_import_loads_no_dataclasses_or_typing():
-    """`import omegacalc.cli` pulls in neither `dataclasses` nor `typing`.
+def _loaded_by(module: str, names) -> list[str]:
+    """Those of ``names`` that ``import module`` loads in a fresh interpreter.
 
     ``-S`` keeps the machine's ``site`` hooks, which may import ``typing``
     themselves, out of the check.
     """
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = (
-        "import sys, omegacalc.cli\n"
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
-    )
+    code = f"import sys, {module}\nprint(' '.join(m for m in {tuple(names)!r} if m in sys.modules))"
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == ""
+    return out.stdout.split()
+
+
+def test_cli_import_loads_no_dataclasses_or_typing():
+    assert _loaded_by("omegacalc.cli", ("dataclasses", "inspect", "typing")) == []
+
+
+def test_expr_import_loads_no_cli_modules():
+    """The evaluators load without the command line's modules."""
+    assert _loaded_by("omegacalc.expr", ("argparse", "json", "dataclasses", "typing")) == []
+
+
+def test_cli_holds_the_evaluators_themselves():
+    # perfbench's LAYERS["cli.evaluate"] names cli:evaluate and
+    # cli:evaluate_rational; its tracer wraps a function in every module
+    # that holds the same object, so the recursion inside expr is timed.
+    assert cli.evaluate is expr.evaluate
+    assert cli.evaluate_rational is expr.evaluate_rational
 
 
 def _fresh_cli(code: str) -> str:
