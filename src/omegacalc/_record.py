@@ -7,6 +7,8 @@ refuse assignment and deletion.  Pickling and copying rebuild a value
 through its constructor, so a class's own checks run again.
 """
 
+from operator import attrgetter
+
 
 class Record:
     __slots__ = ()
@@ -19,16 +21,21 @@ class Record:
         for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
 
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # The field tuple's getter, made once per class, so that == and
+        # hash read every field in one call.  attrgetter of a single name
+        # returns the bare value, hence the one-element tuple.
+        get = attrgetter(*cls.__slots__)
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda x: (get(x),))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
+            return self._fields(self) == other._fields(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -41,4 +48,4 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), self._fields(self)

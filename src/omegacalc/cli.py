@@ -263,6 +263,18 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser whose own help, usage and error text, written to a
+    pipe whose reader has gone, is dropped as Python 3.11's argparse drops
+    it (3.10's lets the error through): a usage error still exits 2."""
+
+    def _print_message(self, message, file=None):
+        try:
+            super()._print_message(message, file)
+        except BrokenPipeError:
+            _drop_output(file or sys.stderr)
+
+
 class _CommandParser:
     """One command's ArgumentParser, built on first use and then kept, so
     that a request builds the parser of its own command only.
@@ -277,7 +289,7 @@ class _CommandParser:
 
     @functools.cached_property
     def _parser(self) -> argparse.ArgumentParser:
-        p = argparse.ArgumentParser(**self._keywords)
+        p = _ArgumentParser(**self._keywords)
         # argparse's own pattern plus -INT/INT, so that a negative rational
         # such as `--seed -1/2` or `eval -1/2` is read as a value.
         p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
@@ -293,7 +305,7 @@ class _CommandParser:
 
 
 def _build_argparser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="omega-calc",
         description="exact calculator for series in the infinitesimal o",
     )
@@ -392,11 +404,8 @@ def entrypoint():  # console-script shim
     # What start-up and the imports built lives until exit: frozen, it is
     # walked by no collection, the interpreter's final ones included.
     gc.freeze()
-    code = 0
     try:
         code = main()
-    except BrokenPipeError:  # argparse's own output, which Python 3.10 lets through
-        pass
     finally:  # --help and argparse's usage errors exit through here too
         for stream in (sys.stdout, sys.stderr):  # a gone reader drops what is buffered
             if stream is not None:

@@ -545,21 +545,61 @@ def normalize(
     return OmegaNumber.from_terms(terms, known_order)
 
 
+def _first_difference(x: OmegaNumber, y: OmegaNumber) -> tuple[int, int] | None:
+    """The first exponent, from the lowest up, at which x and y have
+    different coefficients that both know, with GREATER when x's is the
+    larger there and LESS when it is the smaller; None when they agree
+    through their joint known order.
+
+    A stored window starts nonzero, so unequal valuations differ at the
+    lower one.  Equal valuations walk the two windows side by side, and
+    the longer one goes on alone to its next nonzero coefficient.  The
+    walk reads coefficients with ``!=`` and ``>`` only and builds no
+    value.
+    """
+    a, b = x.coeffs, y.coeffs
+    if a and b and x.valuation == y.valuation:
+        for i, (p, q) in enumerate(zip(a, b)):
+            if p != q:
+                return x.valuation + i, (GREATER if p > q else LESS)
+        if len(a) == len(b):
+            return None
+        start = min(len(a), len(b))
+        rest, v, sign = (a, x.valuation, GREATER) if len(a) > len(b) else (b, y.valuation, LESS)
+    elif a and (not b or x.valuation < y.valuation):
+        rest, v, sign, start = a, x.valuation, GREATER, 0
+    elif b:
+        rest, v, sign, start = b, y.valuation, LESS, 0
+    else:
+        return None
+    while not rest[start]:  # the last stored coefficient is nonzero
+        start += 1
+    e = v + start
+    if (x.known_order is not None and e > x.known_order) or (
+        y.known_order is not None and e > y.known_order
+    ):
+        return None
+    return e, (sign if rest[start] > 0 else -sign)
+
+
 def compare(x: OmegaNumber, y: OmegaNumber) -> int:
     """Three-way lexicographic comparison: -1, 0 or +1.
 
-    0 is returned only when both sides are exact and identical; if all
-    known coefficients agree while an unknown tail remains, the order is
-    genuinely undetermined and IndistinguishableAtTruncation is raised.
+    The first coefficient, from the lowest exponent up, at which x and y
+    differ and that both know decides.  0 is returned only when both
+    sides are exact and identical; if all known coefficients agree while
+    an unknown tail remains, the order is genuinely undetermined and
+    IndistinguishableAtTruncation is raised.
     """
-    d = x - y
-    if not d.is_zero():
-        return GREATER if d.coeffs[0] > 0 else LESS
-    if d.is_exact():
+    first = _first_difference(x, y)
+    if first is not None:
+        return first[1]
+    known = _min_order(x.known_order, y.known_order)
+    if known is None:
         return EQUAL
     raise IndistinguishableAtTruncation(
-        f"values agree through o^{d.known_order} and differ only in unknown tails",
-        known_through=d.known_order,
+        f"values agree through o^{known} and differ only in unknown tails",
+        known_through=known,
     )
 
 
@@ -645,9 +685,9 @@ def compare_extended(
     finite coefficient there but is dominated by everything at lower
     exponents.  y's moment enters with its sign negated, and equal
     moments cancel.  With no moment left the prefixes are compared.
-    Otherwise, at the lowest moment left p, with d the difference of the
-    prefixes: d's first term decides if it lies below p; if d's known
-    order lies below p the order is undecidable; else the moment decides.
+    Otherwise, at the lowest moment left p: the prefixes' first known
+    difference decides if it lies below p; if their joint known order
+    lies below p the order is undecidable; else the moment decides.
     """
     ex, ey = ExtendedOmega.wrap(x), ExtendedOmega.wrap(y)
     moments: dict[int, int] = {}
@@ -658,13 +698,14 @@ def compare_extended(
     if not left:
         return compare(ex.prefix, ey.prefix)
     p = min(left)
-    d = ex.prefix - ey.prefix
-    if d.coeffs and d.valuation < p:
-        return GREATER if d.coeffs[0] > 0 else LESS
-    if d.known_order is not None and d.known_order < p:
+    first = _first_difference(ex.prefix, ey.prefix)
+    if first is not None and first[0] < p:
+        return first[1]
+    known = _min_order(ex.prefix.known_order, ey.prefix.known_order)
+    if known is not None and known < p:
         raise IndistinguishableAtTruncation(
-            f"coefficient of o^{d.known_order + 1} is unknown on one side",
-            known_through=d.known_order,
+            f"coefficient of o^{known + 1} is unknown on one side",
+            known_through=known,
         )
     return GREATER if moments[p] > 0 else LESS
 

@@ -138,6 +138,10 @@ BROKEN_PIPE = {
 # adds nothing on stderr.
 STDERR_TOO = {name: case for name, case in BROKEN_PIPE.items() if "3000" not in name}
 STDERR_TOO["eval ("] = (["eval", "("], "")
+# argparse's own usage errors: Python 3.10's argparse lets the write's
+# BrokenPipeError through.
+STDERR_TOO["usage error"] = (["foo"], "")
+STDERR_TOO["no command"] = ([], "")
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

@@ -921,6 +921,156 @@ class TestExtendedOrderRule:
             compare_extended(root, ExtendedOmega(ONE, 2, 1))
 
 
+# ---------------------------------------------------------------------------
+# The order read off the whole difference x - y, which the coefficient walk
+# replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+
+def difference_compare(x, y):
+    d = x - y
+    if not d.is_zero():
+        return GREATER if d.coeffs[0] > 0 else LESS
+    if d.is_exact():
+        return EQUAL
+    raise IndistinguishableAtTruncation(
+        f"values agree through o^{d.known_order} and differ only in unknown tails",
+        known_through=d.known_order,
+    )
+
+
+def difference_compare_extended(x, y):
+    ex, ey = ExtendedOmega.wrap(x), ExtendedOmega.wrap(y)
+    moments = {}
+    for position, sign in ((ex.position, ex.sign), (ey.position, -ey.sign)):
+        if position is not None:
+            moments[position] = moments.get(position, 0) + sign
+    left = [position for position, sign in moments.items() if sign]
+    if not left:
+        return difference_compare(ex.prefix, ey.prefix)
+    p = min(left)
+    d = ex.prefix - ey.prefix
+    if d.coeffs and d.valuation < p:
+        return GREATER if d.coeffs[0] > 0 else LESS
+    if d.known_order is not None and d.known_order < p:
+        raise IndistinguishableAtTruncation(
+            f"coefficient of o^{d.known_order + 1} is unknown on one side",
+            known_through=d.known_order,
+        )
+    return GREATER if moments[p] > 0 else LESS
+
+
+def order_outcome(fn, *args):
+    """The order returned, or the type, message and known_through raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type, message and order with the oracle's
+        return type(exc), str(exc), getattr(exc, "known_through", None)
+
+
+def fresh_copy(x, known_order):
+    """x's terms in new Fraction objects, known to ``known_order``."""
+    return OmegaNumber.from_terms(
+        [(e, F(c.numerator, c.denominator)) for e, c in x.terms()], known_order
+    )
+
+
+@st.composite
+def order_pairs(draw):
+    """(x, y) over S-powers, with exact, inexact and inexact-zero sides:
+    unrelated values, equal values (sharing their coefficients or not, as
+    exact or inexact), values that differ at one exponent, and values that
+    differ only past one side's known order."""
+    x = draw(inexact_omegas())
+    shape = draw(st.sampled_from(("unrelated", "equal", "one term", "past known")))
+    if shape == "unrelated":
+        y = draw(inexact_omegas())
+    elif shape == "equal":
+        known = draw(st.sampled_from((x.known_order, None)))
+        y = fresh_copy(x, known) if draw(st.booleans()) else OmegaNumber(
+            x.valuation, x.coeffs, known)
+    elif shape == "one term":
+        terms = dict(x.terms())
+        e = draw(st.integers(-4, 7))
+        terms[e] = terms.get(e, F(0)) + draw(small_fractions())
+        y = OmegaNumber.from_terms(terms, draw(st.sampled_from((x.known_order, None))))
+    else:
+        k = draw(st.integers(-4, 6))
+        x = OmegaNumber.from_terms(x.terms(), k)
+        extra = draw(st.dictionaries(st.integers(k + 1, k + 4), small_fractions(),
+                                     min_size=1, max_size=3))
+        y = OmegaNumber.from_terms(list(x.terms()) + list(extra.items()),
+                                   draw(st.none() | st.integers(k, k + 5)))
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+@st.composite
+def extended_order_pairs(draw):
+    """order_pairs() with a +inf or -inf moment on either side or both, at,
+    just below or just above the pair's joint known order."""
+    x, y = draw(order_pairs())
+    known = oracle_min(x.known_order, y.known_order)
+    base = known if known is not None else draw(st.integers(-3, 5))
+
+    def with_moment(v):
+        if draw(st.booleans()):
+            return v
+        position = base + draw(st.sampled_from((-1, 0, 1)))
+        prefix = OmegaNumber.from_terms([(e, c) for e, c in v.terms() if e < position])
+        return ExtendedOmega(prefix, position, draw(st.sampled_from((-1, 1))))
+
+    return with_moment(x), with_moment(y)
+
+
+SHARED = OmegaNumber.from_terms({-1: 2, 0: F(1, 3), 2: 5})
+
+
+@settings(max_examples=500, deadline=None)
+@given(order_pairs())
+@example((SHARED, SHARED))  # one object
+@example((SHARED, fresh_copy(SHARED, None)))  # equal, exact
+@example((SHARED.truncate(2), fresh_copy(SHARED, 5)))  # equal, inexact
+@example((SHARED.truncate(0), SHARED))  # differ only past the left's known order
+@example((OmegaNumber.from_terms({}, 1), OmegaNumber.from_terms({3: 1})))  # inexact zero
+@example((OmegaNumber.from_terms({0: 1, 3: 1}), ONE.truncate(2)))  # gap past a window
+def test_compare_matches_difference_oracle(pair):
+    x, y = pair
+    for a, b in ((x, y), (y, x)):
+        assert order_outcome(compare, a, b) == order_outcome(difference_compare, a, b)
+
+
+@settings(max_examples=500, deadline=None)
+@given(extended_order_pairs())
+@example((ExtendedOmega(OmegaNumber.from_terms({-1: 2, 0: F(1, 3)}), 1, 1), SHARED))  # moment decides
+@example((ExtendedOmega.epsilon(3), ONE.truncate(1)))  # known order below the moment
+@example((ExtendedOmega(ONE, 1, -1), fresh_copy(ONE, 2)))  # moment within the known order
+def test_compare_extended_matches_difference_oracle(pair):
+    x, y = pair
+    for a, b in ((x, y), (y, x)):
+        assert (order_outcome(compare_extended, a, b)
+                == order_outcome(difference_compare_extended, a, b))
+
+
+def test_compare_builds_no_value(monkeypatch):
+    """An order decision walks the stored coefficients: no OmegaNumber is made."""
+    x = OmegaNumber.from_terms({e: F(e + 2, 3) for e in range(-2, 33)}, 32)
+    y = fresh_copy(x, None)
+    z = OmegaNumber.from_terms(list(x.terms()) + [(20, 1)], 40)
+    built = []
+    init = OmegaNumber.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(OmegaNumber, "__init__", counting_init)
+    assert compare(x, z) == LESS and compare(z, y) == GREATER
+    assert compare_extended(ExtendedOmega(ONE, 1, 1), x) == LESS
+    with pytest.raises(IndistinguishableAtTruncation):
+        compare(x, y)
+    assert built == []
+
+
 class TestCauchyLimit:
     def test_constant_sequence(self):
         x = OmegaNumber.from_terms({0: 2, 1: 1, 5: 3, 6: 9})
