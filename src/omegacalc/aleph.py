@@ -224,11 +224,40 @@ def _sign_of_tail(x: OmegaNumber) -> int:
 def archimedean_division(
     a: OmegaNumber, b: OmegaNumber, order: int | None = None
 ) -> AlephInt:
-    """The integer L with L*a <= b < (L+1)*a, for a > 0, b >= 0."""
+    """The integer L with L*a <= b < (L+1)*a, for a > 0, b >= 0.
+
+    L is the integer truncature of the quotient ``b * a.invert(order)``
+    (``order`` defaults to DEFAULT_ORDER), which reads its S-part, its
+    constant and, when the constant is an integer, the sign of its first
+    nonzero o-term.  So a is inverted first at the order
+    t = max(0, -val a, -val b), capped at ``order``, the least at which
+    the quotient knows o^0, and t doubles (t -> 2t + 1, capped) only while
+    the constant is an integer and no nonzero o-term is known yet.  At
+    t = ``order`` the quotient is the one above, so an undecidable floor
+    raises as it does there.
+    """
     zero = OmegaNumber.zero()
     if compare(a, zero) <= 0:
         raise OutOfDomain("divisor must be strictly positive")
     if not b.is_zero() and compare(b, zero) < 0:
         raise OutOfDomain("dividend must be nonnegative")
-    quotient = b * a.invert(order=order if order is not None else DEFAULT_ORDER)
-    return integer_truncature(quotient)
+    if order is None:
+        order = DEFAULT_ORDER
+    t = min(order, max(0, -a.valuation, -(b.valuation or 0)))
+    while True:
+        quotient = b * a.invert(order=t)
+        if t == order or _floor_is_known(quotient):
+            return integer_truncature(quotient)
+        t = min(order, 2 * t + 1)
+
+
+def _floor_is_known(x: OmegaNumber) -> bool:
+    """Whether ``integer_truncature(x)`` is decided by x's known terms:
+    its constant is known and is not an integer, or x knows a nonzero
+    o-term (its top stored term, nonzero, lies past o^0)."""
+    if x.known_order is None:
+        return True
+    if x.known_order < 0:
+        return False
+    return x.coefficient(0).denominator != 1 or (
+        bool(x.coeffs) and x.valuation + len(x.coeffs) > 1)

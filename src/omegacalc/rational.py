@@ -3,8 +3,12 @@
 This is the field generated over the rationals by ``o`` alone (with
 ``S = 1/o``).  Every element expands into a unique series: when the
 denominator has a zero at ``o = 0`` its o-power factors out as S-powers,
-and the rest is omega's series division.  Every constructor and operator
-reduces P/Q, so an expansion is finite exactly when Q is a monomial.
+and the rest is omega's series division.  ``from_polys`` reduces P/Q,
+and the operators keep that reduced form from their reduced operands by
+Henrici's gcds (Knuth, TAOCP vol. 2, 4.5.1): a product divides out only
+the cross gcds gcd(P1, Q2) and gcd(P2, Q1), a sum only gcd(Q1, Q2) and
+then what the new numerator shares with it.  So an expansion is finite
+exactly when Q is a monomial.
 The expansion is a field embedding, and the order it induces is read off
 P/Q itself: the leading coefficient of the expansion is the ratio of the
 lowest coefficients of P and Q, so no comparison expands anything.
@@ -70,7 +74,14 @@ def _poly_quo(a: Poly, b: Poly) -> list:
     return _div_series(a[::-1], b[::-1], len(a) - len(b))[::-1]
 
 
+def _poly_exquo(a: Poly, g: Poly) -> Poly:
+    """The exact quotient a / g for a monic divisor g of a (a itself when g is 1)."""
+    return a if len(g) == 1 else tuple(_poly_quo(a, g))
+
+
 def _poly_gcd(a: Poly, b: Poly) -> Poly:
+    if len(a) == 1 or len(b) == 1:  # a nonzero constant divides both
+        return (Fraction(1),)
     while b:
         m = len(b)  # Euclid: the remainder a - b*q lies below o^(m-1)
         a, b = b, _poly_add(a[:m - 1], _poly_neg(_mul_trunc(b, _poly_quo(a, b), m - 2)))
@@ -91,7 +102,7 @@ class RationalFunction(Record):
             raise DivisionByZero("zero denominator")
         if n:
             g = _poly_gcd(n, d)
-            n, d = _poly_quo(n, g), _poly_quo(d, g)
+            n, d = _poly_exquo(n, g), _poly_exquo(d, g)
         else:
             d = (Fraction(1),)
         lead = d[-1]
@@ -115,10 +126,16 @@ class RationalFunction(Record):
         return not self.num
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.from_polys(
-            _poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den)),
-            _poly_mul(self.den, other.den),
-        )
+        # Henrici: with g = gcd(Q1, Q2), t = P1*(Q2/g) + P2*(Q1/g) over
+        # (Q1/g)*Q2, and only gcd(t, g) can divide out.
+        (p1, q1), (p2, q2) = (self.num, self.den), (other.num, other.den)
+        g = _poly_gcd(q1, q2)
+        q1g, q2g = _poly_exquo(q1, g), _poly_exquo(q2, g)
+        t = _poly_add(_poly_mul(p1, q2g), _poly_mul(p2, q1g))
+        if not t:
+            return _ZERO
+        h = _poly_gcd(t, g)
+        return RationalFunction(_poly_exquo(t, h), _poly_mul(q1g, _poly_exquo(q2, h)))
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(_poly_neg(self.num), self.den)
@@ -127,22 +144,34 @@ class RationalFunction(Record):
         return self + (-other)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.from_polys(
-            _poly_mul(self.num, other.num), _poly_mul(self.den, other.den)
-        )
+        # Henrici: both operands are reduced, so only the cross gcds
+        # gcd(P1, Q2) and gcd(P2, Q1) can divide out.
+        (p1, q1), (p2, q2) = (self.num, self.den), (other.num, other.den)
+        if not (p1 and p2):
+            return _ZERO
+        g1, g2 = _poly_gcd(p1, q2), _poly_gcd(p2, q1)
+        return RationalFunction(_poly_mul(_poly_exquo(p1, g1), _poly_exquo(p2, g2)),
+                                _poly_mul(_poly_exquo(q1, g2), _poly_exquo(q2, g1)))
 
     def invert(self) -> "RationalFunction":
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        return RationalFunction.from_polys(self.den, self.num)
+        lead = self.num[-1]  # P/Q reduced => Q/P reduced; make P monic
+        return RationalFunction(tuple([c / lead for c in self.den]),
+                                tuple([c / lead for c in self.num]))
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         return self * other.invert()
 
     def __pow__(self, n: int) -> "RationalFunction":
         # One gcd, on the operand: P/Q reduced, Q monic => P^n/Q^n too.
-        base = self.invert() if n < 0 else RationalFunction.from_polys(self.num, self.den)
+        base = RationalFunction.from_polys(self.num, self.den)
+        if n < 0:
+            base = base.invert()
         return RationalFunction(_poly_pow(base.num, abs(n)), _poly_pow(base.den, abs(n)))
+
+
+_ZERO = RationalFunction((), (Fraction(1),))
 
 
 def expand(rf: RationalFunction, order: int | None = None) -> OmegaNumber:
@@ -166,11 +195,15 @@ def expand(rf: RationalFunction, order: int | None = None) -> OmegaNumber:
 
 def rf_compare(a: RationalFunction, b: RationalFunction) -> int:
     """The expansion order, exactly: the sign of the leading coefficient of
-    a - b = P/Q, the ratio of the lowest coefficients of P and Q (0 when P
-    is zero, that is only when a == b)."""
-    d = a - b
-    lead = next((c for c in d.num if c), 0) / next(c for c in d.den if c)
-    return (lead > 0) - (lead < 0)
+    a - b = (P1*Q2 - P2*Q1)/(Q1*Q2), the ratio of the lowest nonzero
+    coefficients of that numerator and denominator (0 when the numerator
+    is zero, that is only when a == b).  A common factor leaves the ratio
+    unchanged, so no gcd is taken."""
+    d = _poly_add(_poly_mul(a.num, b.den), _poly_neg(_poly_mul(b.num, a.den)))
+    if not d:
+        return 0
+    lead = next(c for c in d if c) * next(c for c in a.den if c) * next(c for c in b.den if c)
+    return 1 if lead > 0 else -1
 
 
 def completion_demo(target: OmegaNumber, upto: int | None = None) -> list[RationalFunction]:

@@ -23,10 +23,11 @@ from omegacalc.aleph import (
 )
 from omegacalc.errors import (
     IndistinguishableAtTruncation,
+    OmegaError,
     OutOfDomain,
     PredecessorOfZero,
 )
-from omegacalc.omega import OmegaNumber, compare, much_less
+from omegacalc.omega import DEFAULT_ORDER, OmegaNumber, compare, much_less
 
 from conftest import random_omega
 
@@ -224,6 +225,86 @@ class TestArchimedeanDivision:
             L = archimedean_division(a, b, order=8)
             assert compare(L.to_omega() * a, b) <= 0
             assert compare(b, (L.to_omega() + OmegaNumber.one()) * a) < 0
+
+
+def archimedean_division_oracle(a, b, order=None):
+    """archimedean_division as it was: the truncature of the quotient with
+    a inverted at the full order."""
+    zero = OmegaNumber.zero()
+    if compare(a, zero) <= 0:
+        raise OutOfDomain("divisor must be strictly positive")
+    if not b.is_zero() and compare(b, zero) < 0:
+        raise OutOfDomain("dividend must be nonnegative")
+    return integer_truncature(b * a.invert(order if order is not None else DEFAULT_ORDER))
+
+
+def _outcome(divide, a, b, order):
+    try:
+        L = divide(a, b, order)
+    except OmegaError as err:
+        return type(err), str(err), getattr(err, "known_through", None)
+    return L, [type(c) for c in L.value.coeffs]
+
+
+def _lead_positive(x: OmegaNumber) -> OmegaNumber:
+    return -x if x.coeffs and x.coeffs[0] < 0 else x
+
+
+def division_cases():
+    """(a, b, order) with a > 0 and b >= 0 as far as they are known:
+    S-powers, inexact values and exact zeros among them, orders None and
+    0-16; and integer-constant quotients n/(1 + c*o^k) whose first nonzero
+    o-term lies at k."""
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+    value = st.builds(lambda terms, known: _lead_positive(OmegaNumber.from_terms(terms, known)),
+                      st.dictionaries(st.integers(-2, 18), coeff, max_size=5),
+                      st.none() | st.integers(-2, 16))
+    orders = st.none() | st.integers(0, 16)
+    deep = st.builds(
+        lambda k, c, n, s, known: (OmegaNumber.from_terms({0: 1, k: c}, known),
+                                   OmegaNumber.from_terms({0: n, -2: s}), None),
+        st.integers(1, 20), st.sampled_from([1, -1, F(1, 2)]), st.integers(0, 9),
+        st.integers(0, 3), st.none() | st.integers(0, 20))
+    return st.one_of(st.tuples(value, value, orders),
+                     st.builds(lambda case, order: case[:2] + (order,), deep, orders))
+
+
+class TestDivisionAgainstFullOrder:
+    """archimedean_division reads the quotient at the least order that
+    decides the floor; the quotient at the full order is its oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(division_cases())
+    @example((OmegaNumber.from_terms({0: 1, 1: 1}), OmegaNumber.from_rational(2), None))
+    @example((OmegaNumber.from_terms({0: 1, 5: 1}), OmegaNumber.from_rational(2), None))
+    @example((OmegaNumber.from_terms({0: 1, 5: -1}), OmegaNumber.from_rational(2), 5))
+    @example((OmegaNumber.from_terms({0: 1, 5: 1}), OmegaNumber.from_rational(2), 4))
+    @example((OmegaNumber.from_terms({0: 1, 5: 1}, 5), OmegaNumber.from_rational(2), 16))
+    @example((OmegaNumber.from_terms({-1: 1, 3: 1}), OmegaNumber.from_terms({-2: 1}), 0))
+    @example((OmegaNumber.o(2), OmegaNumber.zero(), 0))
+    @example((OmegaNumber.one(), OmegaNumber.from_terms({}, 3), 6))
+    def test_same_value_or_same_error(self, case):
+        a, b, order = case
+        assert _outcome(archimedean_division, a, b, order) == _outcome(
+            archimedean_division_oracle, a, b, order)
+
+    @pytest.mark.parametrize("a,b,order,expected", [
+        ({0: 1, 1: 1}, {0: 2}, None, "1"),  # first o-term at 1
+        ({0: 1, 5: 1}, {0: 2}, None, "1"),  # at 5
+        ({0: 1, 5: -1}, {0: 2}, None, "2"),
+        ({0: 1, 8: 1}, {0: 2}, None, "1"),  # at the default order
+        ({0: 1, 5: 1}, {0: 2}, 5, "1"),  # at the order
+        ({0: 1, 5: 1}, {0: 2}, 4, None),  # past it
+        ({0: 1, 30: 1}, {-2: 3, 0: 2}, 32, "3*S^2 + 1"),
+    ])
+    def test_first_o_term_at_and_past_the_order(self, a, b, order, expected):
+        a, b = OmegaNumber.from_terms(a), OmegaNumber.from_terms(b)
+        want = _outcome(archimedean_division_oracle, a, b, order)
+        assert _outcome(archimedean_division, a, b, order) == want
+        if expected is None:
+            assert want[0] is IndistinguishableAtTruncation
+        else:
+            assert str(want[0]) == expected
 
 
 class TestConversions:

@@ -384,6 +384,12 @@ def test_rational_power_is_n_fold_product(a, n):
 def test_rational_first_power_reduces_its_operand():
     unreduced = RationalFunction((F(2), F(2)), (F(2),))
     assert unreduced ** 1 == RationalFunction.from_polys([1, 1], [1])
+    # invert does not reduce: a negative power reduces the raw operand first
+    assert unreduced ** -1 == RationalFunction.from_polys([1], [1, 1])
+    assert unreduced ** -2 == RationalFunction.from_polys([1], [1, 2, 1])
+    shared = RationalFunction((F(1), F(0), F(-1)), (F(1), F(1)))  # (1 - o^2)/(1 + o)
+    assert shared ** -1 == RationalFunction.from_polys([1], [1, -1])
+    assert shared ** -2 == RationalFunction.from_polys([1], [1, -2, 1])
 
 
 @settings(max_examples=60, deadline=None)

@@ -23,7 +23,9 @@ from omegacalc.omega import (
 from omegacalc.rational import (
     RationalFunction,
     _poly,
+    _poly_add,
     _poly_gcd,
+    _poly_mul,
     _poly_quo,
     completion_demo,
     expand,
@@ -471,3 +473,83 @@ class TestExactCompare:
         assert rf_compare(SIG, RationalFunction.from_rational(10 ** 9)) == 1
         assert rf_compare(RO, zero) == 1
         assert rf_compare(-RO / (ONE + RO), zero) == -1
+
+
+# ---------------------------------------------------------------------------
+# The operators as they were: multiply out, then reduce by `from_polys`.
+# Kept as oracles for Henrici's gcds.
+# ---------------------------------------------------------------------------
+
+
+def add_oracle(a, b):
+    num = _poly_add(_poly_mul(a.num, b.den), _poly_mul(b.num, a.den))
+    return RationalFunction.from_polys(num, _poly_mul(a.den, b.den))
+
+
+def mul_oracle(a, b):
+    return RationalFunction.from_polys(_poly_mul(a.num, b.num), _poly_mul(a.den, b.den))
+
+
+def invert_oracle(a):
+    if a.is_zero():
+        raise DivisionByZero("inverse of zero")
+    return RationalFunction.from_polys(a.den, a.num)
+
+
+def rf_compare_oracle(a, b):
+    """rf_compare as it was: the lowest coefficients of the reduced a - b."""
+    d = add_oracle(a, -b)
+    lead = next((c for c in d.num if c), 0) / next(c for c in d.den if c)
+    return (lead > 0) - (lead < 0)
+
+
+def rf_key(r):
+    return poly_key(r.num), poly_key(r.den)
+
+
+def henrici_operands():
+    """Two reduced operands whose gcds are often not 1: a common factor in
+    both denominators, or one numerator sharing a factor with the other's
+    denominator.  Zero and constant operands are among them."""
+    nonzero = small_polys(min_size=1).filter(bool)
+    factor = st.one_of(nonzero, st.integers(1, 2).map(lambda k: _poly([0] * k + [1])))
+
+    def build(p1, q1, p2, q2, f, shared):
+        if shared == "denominators":
+            q1, q2 = _poly_mul(q1, f), _poly_mul(q2, f)
+        elif shared == "p1 q2":
+            p1, q2 = _poly_mul(p1, f), _poly_mul(q2, f)
+        elif shared == "p2 q1":
+            p2, q1 = _poly_mul(p2, f), _poly_mul(q1, f)
+        return RationalFunction.from_polys(p1, q1), RationalFunction.from_polys(p2, q2)
+
+    return st.builds(build, small_polys(), nonzero, small_polys(), nonzero, factor,
+                     st.sampled_from(["none", "denominators", "p1 q2", "p2 q1"]))
+
+
+class TestHenriciOperators:
+    """`+ - * /` and `invert` on reduced operands give structurally what
+    multiplying out and reducing by `from_polys` gave."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(henrici_operands())
+    @example((RationalFunction.from_rational(0), RationalFunction.from_rational(F(-3, 2))))
+    @example((RationalFunction.from_rational(F(2, 3)), RationalFunction.from_rational(0)))
+    @example((ONE / (ONE - RO), RO / (ONE - RO)))  # the sum cancels the denominator
+    @example(((ONE + RO) / (ONE - RO), (ONE - RO) / (ONE + RO)))  # both cross gcds
+    @example((RO / (ONE + RO), (ONE + RO) / RO))  # o-power cross gcd
+    @example(((ONE + RO) / (ONE - RO * RO) * (ONE - RO) / (ONE + RO) ** 2,
+              ONE / (ONE + RO) ** 2))  # equal values: a - b is zero
+    def test_operators_match_the_from_polys_route(self, pair):
+        a, b = pair
+        assert rf_key(a + b) == rf_key(add_oracle(a, b))
+        assert rf_key(a - b) == rf_key(add_oracle(a, -b))
+        assert rf_key(a * b) == rf_key(mul_oracle(a, b))
+        assert rf_compare(a, b) == rf_compare_oracle(a, b)
+        if b.is_zero():
+            for call in (b.invert, lambda: a / b):
+                with pytest.raises(DivisionByZero, match="inverse of zero"):
+                    call()
+        else:
+            assert rf_key(b.invert()) == rf_key(invert_oracle(b))
+            assert rf_key(a / b) == rf_key(mul_oracle(a, invert_oracle(b)))
