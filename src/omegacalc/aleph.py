@@ -230,11 +230,13 @@ def archimedean_division(
     (``order`` defaults to DEFAULT_ORDER), which reads its S-part, its
     constant and, when the constant is an integer, the sign of its first
     nonzero o-term.  So a is inverted first at the order
-    t = max(0, -val a, -val b), capped at ``order``, the least at which
-    the quotient knows o^0, and t doubles (t -> 2t + 1, capped) only while
-    the constant is an integer and no nonzero o-term is known yet.  At
-    t = ``order`` the quotient is the one above, so an undecidable floor
-    raises as it does there.
+    t0 = max(0, -val a, -val b), capped at ``order``, the least at which
+    the quotient knows o^0.  If the floor is still open there (an integer
+    constant and no nonzero o-term known yet), a is inverted again at
+    2*t0 + 1, and if it is open there too, at ``order``.  So a floor
+    decided late, or undecidable, costs at most two inversions below
+    ``order`` on top of the one at ``order``.  At ``order`` the quotient
+    is the one above, so an undecidable floor raises as it does there.
     """
     zero = OmegaNumber.zero()
     if compare(a, zero) <= 0:
@@ -243,12 +245,11 @@ def archimedean_division(
         raise OutOfDomain("dividend must be nonnegative")
     if order is None:
         order = DEFAULT_ORDER
-    t = min(order, max(0, -a.valuation, -(b.valuation or 0)))
-    while True:
+    t0 = min(order, max(0, -a.valuation, -(b.valuation or 0)))
+    for t in (t0, min(order, 2 * t0 + 1), order):
         quotient = b * a.invert(order=t)
         if t == order or _floor_is_known(quotient):
             return integer_truncature(quotient)
-        t = min(order, 2 * t + 1)
 
 
 def _floor_is_known(x: OmegaNumber) -> bool:

@@ -7,8 +7,11 @@ and the rest is omega's series division.  ``from_polys`` reduces P/Q,
 and the operators keep that reduced form from their reduced operands by
 Henrici's gcds (Knuth, TAOCP vol. 2, 4.5.1): a product divides out only
 the cross gcds gcd(P1, Q2) and gcd(P2, Q1), a sum only gcd(Q1, Q2) and
-then what the new numerator shares with it.  So an expansion is finite
-exactly when Q is a monomial.
+then what the new numerator shares with it.  So every value built by
+``from_polys``, ``from_rational``, ``o``, ``sigma`` and the operators is
+reduced, and an expansion is finite exactly when Q is a monomial.  A
+``RationalFunction(num, den)`` written by hand from unreduced tuples is
+outside that contract: only ``**`` reduces such an operand first.
 The expansion is a field embedding, and the order it induces is read off
 P/Q itself: the leading coefficient of the expansion is the ratio of the
 lowest coefficients of P and Q, so no comparison expands anything.
@@ -91,7 +94,14 @@ def _poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 class RationalFunction(Record):
-    """Reduced fraction of o-polynomials with a monic-lead denominator."""
+    """Reduced fraction of o-polynomials with a monic-lead denominator.
+
+    Build values with ``from_polys`` (or ``from_rational``, ``o``,
+    ``sigma``) and the operators: ``+ - * /`` and ``invert`` keep the
+    normal form only from reduced operands, so ``==`` and ``hash`` agree
+    with ``from_polys`` only for such values.  ``**`` reduces its operand
+    first.
+    """
 
     __slots__ = ("num", "den")  # two Polys
 
@@ -195,15 +205,11 @@ def expand(rf: RationalFunction, order: int | None = None) -> OmegaNumber:
 
 def rf_compare(a: RationalFunction, b: RationalFunction) -> int:
     """The expansion order, exactly: the sign of the leading coefficient of
-    a - b = (P1*Q2 - P2*Q1)/(Q1*Q2), the ratio of the lowest nonzero
-    coefficients of that numerator and denominator (0 when the numerator
-    is zero, that is only when a == b).  A common factor leaves the ratio
-    unchanged, so no gcd is taken."""
-    d = _poly_add(_poly_mul(a.num, b.den), _poly_neg(_poly_mul(b.num, a.den)))
-    if not d:
-        return 0
-    lead = next(c for c in d if c) * next(c for c in a.den if c) * next(c for c in b.den if c)
-    return 1 if lead > 0 else -1
+    a - b = P/Q, the ratio of the lowest coefficients of P and Q (0 when P
+    is zero, that is only when a == b)."""
+    d = a - b
+    lead = next((c for c in d.num if c), 0) / next(c for c in d.den if c)
+    return (lead > 0) - (lead < 0)
 
 
 def completion_demo(target: OmegaNumber, upto: int | None = None) -> list[RationalFunction]:

@@ -283,6 +283,10 @@ class TestDivisionAgainstFullOrder:
     @example((OmegaNumber.from_terms({-1: 1, 3: 1}), OmegaNumber.from_terms({-2: 1}), 0))
     @example((OmegaNumber.o(2), OmegaNumber.zero(), 0))
     @example((OmegaNumber.one(), OmegaNumber.from_terms({}, 3), 6))
+    @example((OmegaNumber.from_terms({0: 1}, 5), OmegaNumber.from_rational(2), 32))  # a caps
+    @example((OmegaNumber.from_terms({0: 1, 5: 1}), OmegaNumber.from_terms({0: 2}, 3), 16))  # b caps
+    @example((OmegaNumber.one(), OmegaNumber.from_terms({0: 2}, 10), 16))  # monomial a
+    @example((OmegaNumber.from_terms({0: 1, 9: -1}, 9), OmegaNumber.from_rational(2), 16))  # o^9 known
     def test_same_value_or_same_error(self, case):
         a, b, order = case
         assert _outcome(archimedean_division, a, b, order) == _outcome(
@@ -305,6 +309,30 @@ class TestDivisionAgainstFullOrder:
             assert want[0] is IndistinguishableAtTruncation
         else:
             assert str(want[0]) == expected
+
+    @pytest.mark.parametrize("a,b,order,inverted_at", [
+        ({0: 1, 40: 1}, {0: 2}, 32, [0, 1, 32]),  # undecidable at the order
+        ({0: 1, 30: 1}, {-2: 3, 0: 2}, 32, [2, 5, 32]),  # first o-term at 30
+        ({0: 1, 1: 1}, {-1: 1, 0: 2}, 32, [1, 3]),  # S + 1 - o + ...: at 2*t0 + 1
+        ({0: 1, 1: 1}, {-1: 1, 0: F(1, 2)}, 32, [1]),  # S - 1/2 + ...: at t0
+        ({0: 1, 40: 1}, {-40: 1}, 32, [32]),  # t0 capped at the order
+    ])
+    def test_at_most_two_inversions_below_the_order(self, a, b, order, inverted_at,
+                                                     monkeypatch):
+        """a is inverted at t0, 2*t0 + 1 and the order, and no more: a late
+        or undecidable floor costs two inversions on top of the former one."""
+        orders, invert = [], OmegaNumber.invert
+
+        def recording_invert(self, order=None):
+            orders.append(order)
+            return invert(self, order)
+
+        monkeypatch.setattr(OmegaNumber, "invert", recording_invert)
+        a, b = OmegaNumber.from_terms(a), OmegaNumber.from_terms(b)
+        want = _outcome(archimedean_division_oracle, a, b, order)
+        orders.clear()
+        assert _outcome(archimedean_division, a, b, order) == want
+        assert orders == inverted_at
 
 
 class TestConversions:

@@ -497,7 +497,7 @@ def invert_oracle(a):
 
 
 def rf_compare_oracle(a, b):
-    """rf_compare as it was: the lowest coefficients of the reduced a - b."""
+    """rf_compare on the multiplied-out a - b, reduced by `from_polys`."""
     d = add_oracle(a, -b)
     lead = next((c for c in d.num if c), 0) / next(c for c in d.den if c)
     return (lead > 0) - (lead < 0)
