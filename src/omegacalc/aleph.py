@@ -229,11 +229,12 @@ def archimedean_division(
     L is the integer truncature of the quotient ``b * a.invert(order)``
     (``order`` defaults to DEFAULT_ORDER), which reads its S-part, its
     constant and, when the constant is an integer, the sign of its first
-    nonzero o-term.  So a is inverted first at the order
-    t0 = max(0, -val a, -val b), capped at ``order``, the least at which
-    the quotient knows o^0.  If the floor is still open there (an integer
+    nonzero o-term.  With t0 = max(0, -val a, -val b), the least order at
+    which the quotient knows o^0, a is inverted first at t1 = t0 + 1, the
+    least at which it knows o^1 (an integer constant is the common case),
+    capped at ``order``.  If the floor is still open there (an integer
     constant and no nonzero o-term known yet), a is inverted again at
-    2*t0 + 1, and if it is open there too, at ``order``.  So a floor
+    2*t1 + 1, and if it is open there too, at ``order``.  So a floor
     decided late, or undecidable, costs at most two inversions below
     ``order`` on top of the one at ``order``.  At ``order`` the quotient
     is the one above, so an undecidable floor raises as it does there.
@@ -245,8 +246,8 @@ def archimedean_division(
         raise OutOfDomain("dividend must be nonnegative")
     if order is None:
         order = DEFAULT_ORDER
-    t0 = min(order, max(0, -a.valuation, -(b.valuation or 0)))
-    for t in (t0, min(order, 2 * t0 + 1), order):
+    t1 = min(order, max(0, -a.valuation, -(b.valuation or 0)) + 1)
+    for t in (t1, min(order, 2 * t1 + 1), order):
         quotient = b * a.invert(order=t)
         if t == order or _floor_is_known(quotient):
             return integer_truncature(quotient)

@@ -359,6 +359,8 @@ def _report(run, mode: str, order: int, out) -> int:
         code, message = 2, str(exc)
     except RecursionError:
         code, message = 2, "expression nested too deeply"
+    except MemoryError:
+        code, message = 2, "out of memory"
     else:
         for line in lines:
             _print(line, out)

@@ -18,7 +18,12 @@ lowest coefficients of P and Q, so no comparison expands anything.
 
 Polynomials use omega's kernel: ``_mul_trunc`` multiplies, and a
 quotient is ``_div_series`` on reversed coefficients (series division in
-S); Euclid's remainder is the part of ``a - b*q`` below deg b.
+S); Euclid's remainder is the part of ``a - b*q`` below deg b.  Most
+gcds are 1, and Brown's modular certificate (JACM 1971) proves that from
+one image modulo the prime p = 2^61 - 1, with no coefficient growth;
+Euclid over Q runs only when the images share a factor (a real common
+factor, an o-power, or an unlucky p) or when a denominator or a leading
+coefficient vanishes modulo p.
 
 The truncation sequence of any finite value is a Cauchy sequence of
 polynomials converging to it, which `completion_demo` materializes
@@ -82,8 +87,60 @@ def _poly_exquo(a: Poly, g: Poly) -> Poly:
     return a if len(g) == 1 else tuple(_poly_quo(a, g))
 
 
+_P = 2**61 - 1  # the prime of the coprimality certificate
+
+
+def _image_mod_p(a: Poly) -> list | None:
+    """a's coefficients in Z/p, or None when a denominator or the leading
+    coefficient vanishes modulo p."""
+    out = []
+    for c in a:
+        d = c.denominator % _P
+        if not d:
+            return None
+        out.append(c.numerator * pow(d, -1, _P) % _P if d != 1 else c.numerator % _P)
+    return out if out[-1] else None
+
+
+def _coprime_mod_p(a: Poly, b: Poly) -> bool:
+    """Brown's certificate: True only when gcd(a, b) over Q is 1.
+
+    For nonzero a and b whose denominators and leading coefficients do
+    not vanish mod p, a common factor over Q, taken primitive in Z[o],
+    divides the leading coefficient of each integer-scaled operand, so it
+    keeps its degree mod p and divides both images.  A constant nonzero
+    gcd of the images therefore proves coprimality.  False means only
+    "not certified": a real common factor, or an unlucky p.
+    """
+    if not (a and b):
+        return False
+    x, y = _image_mod_p(a), _image_mod_p(b)
+    if x is None or y is None:
+        return False
+    while len(y) > 1:  # Euclid over Z/p: x <- x mod y, then swap
+        inv, m = pow(y[-1], -1, _P), len(y) - 1
+        while len(x) > m:
+            q = x.pop() * inv % _P  # the top term cancels against q*y
+            shift = len(x) - m
+            for i in range(m):
+                x[shift + i] = (x[shift + i] - q * y[i]) % _P
+            while x and not x[-1]:
+                x.pop()
+        if not x:  # y divides x: a gcd of positive degree
+            return False
+        x, y = y, x
+    return True
+
+
 def _poly_gcd(a: Poly, b: Poly) -> Poly:
-    if len(a) == 1 or len(b) == 1:  # a nonzero constant divides both
+    """Monic gcd over Q (1 for coprime operands, b made monic when a is 0).
+
+    A constant operand, or coprimality certified modulo p by
+    ``_coprime_mod_p``, gives 1 at once.  Euclid over Q runs for a real
+    common factor, an o-power factor or an unlucky p, and when a
+    denominator or a leading coefficient vanishes modulo p.
+    """
+    if len(a) == 1 or len(b) == 1 or _coprime_mod_p(a, b):
         return (Fraction(1),)
     while b:
         m = len(b)  # Euclid: the remainder a - b*q lies below o^(m-1)

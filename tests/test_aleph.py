@@ -287,6 +287,18 @@ class TestDivisionAgainstFullOrder:
     @example((OmegaNumber.from_terms({0: 1, 5: 1}), OmegaNumber.from_terms({0: 2}, 3), 16))  # b caps
     @example((OmegaNumber.one(), OmegaNumber.from_terms({0: 2}, 10), 16))  # monomial a
     @example((OmegaNumber.from_terms({0: 1, 9: -1}, 9), OmegaNumber.from_rational(2), 16))  # o^9 known
+    # The calculus shape a = S + ..., b = k*S + ...: the constant k is an
+    # integer, and the o-term decides at t1, at 2*t1 + 1, or never.
+    @example((OmegaNumber.from_terms({-1: 1, 0: F(1, 3), 1: 2}),
+              OmegaNumber.from_terms({-1: 5, 0: F(1, 2), 1: 1}), None))  # 5 - 7/6*o
+    @example((OmegaNumber.from_terms({-1: 1, 0: F(1, 2)}),
+              OmegaNumber.from_terms({-1: 3, 0: F(3, 2), 2: 1}), 8))  # 3 + o^3 - ...
+    @example((OmegaNumber.from_terms({-1: 1, 0: 1}),
+              OmegaNumber.from_terms({-1: 2, 0: 2, 2: -1}), 8))  # 2 - o^3 + ...
+    @example((OmegaNumber.from_terms({-1: 1, 0: F(1, 2)}),
+              OmegaNumber.from_terms({-1: 2, 0: 1}), 8))  # exactly 2: undecidable
+    @example((OmegaNumber.from_terms({0: 1, 1: F(1, 2)}),
+              OmegaNumber.from_terms({-1: 2, 0: F(1, 2)}), 4))  # 2*S - 1/2 + ...
     def test_same_value_or_same_error(self, case):
         a, b, order = case
         assert _outcome(archimedean_division, a, b, order) == _outcome(
@@ -311,16 +323,17 @@ class TestDivisionAgainstFullOrder:
             assert str(want[0]) == expected
 
     @pytest.mark.parametrize("a,b,order,inverted_at", [
-        ({0: 1, 40: 1}, {0: 2}, 32, [0, 1, 32]),  # undecidable at the order
-        ({0: 1, 30: 1}, {-2: 3, 0: 2}, 32, [2, 5, 32]),  # first o-term at 30
-        ({0: 1, 1: 1}, {-1: 1, 0: 2}, 32, [1, 3]),  # S + 1 - o + ...: at 2*t0 + 1
-        ({0: 1, 1: 1}, {-1: 1, 0: F(1, 2)}, 32, [1]),  # S - 1/2 + ...: at t0
-        ({0: 1, 40: 1}, {-40: 1}, 32, [32]),  # t0 capped at the order
+        ({0: 1, 40: 1}, {0: 2}, 32, [1, 3, 32]),  # undecidable at the order
+        ({0: 1, 30: 1}, {-2: 3, 0: 2}, 32, [3, 7, 32]),  # first o-term at 30
+        ({0: 1, 1: 1}, {-1: 1, 0: 2}, 32, [2]),  # S + 1 - o + ...: o^1 at t1
+        ({0: 1, 1: 1}, {-1: 1, 0: F(1, 2)}, 32, [2]),  # S - 1/2 + ...: at t1
+        ({0: 1, 40: 1}, {-31: 1}, 32, [32]),  # t1 = t0 + 1 capped at the order
     ])
     def test_at_most_two_inversions_below_the_order(self, a, b, order, inverted_at,
                                                      monkeypatch):
-        """a is inverted at t0, 2*t0 + 1 and the order, and no more: a late
-        or undecidable floor costs two inversions on top of the former one."""
+        """a is inverted at t1 = t0 + 1, 2*t1 + 1 and the order, and no more:
+        a late or undecidable floor costs two inversions on top of the
+        former one."""
         orders, invert = [], OmegaNumber.invert
 
         def recording_invert(self, order=None):

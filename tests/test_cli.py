@@ -426,6 +426,16 @@ class TestNoTraceback:
     def test_long_chain_evaluates(self, expr, expected):
         assert run_cli(["eval", expr]) == (0, expected)
 
+    def test_memory_error_is_one_error_line(self, monkeypatch, capsys):
+        # `eval "d^100000[exp](o)"` ends in a MemoryError under a 2 GiB
+        # address-space limit; any run that raises one exits 2 the same way.
+        def exhausted(node, order):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "evaluate", exhausted)
+        assert run_cli(["eval", "d^100000[exp](o)"]) == (2, "")
+        assert capsys.readouterr().err == "error: out of memory\n"
+
     def test_long_expand_chain_evaluates(self):
         assert run_cli(["expand", "1" + "+1" * 3000]) == (0, "3001\n")
 

@@ -22,6 +22,7 @@ from omegacalc.omega import (
 )
 from omegacalc.rational import (
     RationalFunction,
+    _coprime_mod_p,
     _poly,
     _poly_add,
     _poly_gcd,
@@ -394,6 +395,54 @@ class TestKernelDivision:
         assert (got.num, got.den) == ((F(-1), F(-1)), (F(-1), F(1)))
         assert expand(got + ONE / (ONE - RO), 3) == OmegaNumber.from_terms(
             {0: 2, 1: 3, 2: 3, 3: 3}, known_order=3)
+
+
+P = 2**61 - 1  # the certificate's prime
+
+
+def times(*factors):
+    out = (F(1),)
+    for f in factors:
+        out = _poly_mul(out, _poly(f))
+    return out
+
+
+class TestCoprimeCertificate:
+    """`_coprime_mod_p` answers "coprime" only when the gcd over Q is 1;
+    `poly_gcd_oracle` is the reference, and `_poly_gcd` still matches it
+    on every pair, certified or not."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.tuples(small_polys(), small_polys()), polys_with_common_factor()))
+    @example((times([1, P], [2, 1]), times([1, P], [3, 1])))  # shared factor, lead P
+    @example((times([1, 1], [F(1, P), 1]), times([1, 1], [2, 1])))  # denominator P
+    @example(((F(1), F(P)), (F(2), F(1))))  # leading coefficient P, coprime
+    @example(((F(2**62 + 3), F(2**61 + 5)), (F(7), F(2**64 + 1), F(1))))  # past 2^61
+    @example(((F(0), F(0), F(1), F(2)), (F(0), F(0), F(3))))  # shared o^2
+    @example(((F(2), F(3), F(1)), (F(2), F(-1), F(-1))))  # shared 2 + o
+    @example(((), (F(1), F(1))))  # zero operand
+    @example(((F(3),), (F(1), F(1))))  # constant operand
+    @example(((), ()))
+    def test_certified_pairs_have_gcd_one(self, pair):
+        for a, b in (pair, pair[::-1]):
+            if _coprime_mod_p(a, b):
+                assert poly_gcd_oracle(a, b) == (F(1),)
+            assert poly_key(_poly_gcd(a, b)) == poly_key(poly_gcd_oracle(a, b))
+
+    @pytest.mark.parametrize("a,b,certified", [
+        (times([1, P], [2, 1]), times([1, P], [3, 1]), False),  # lead vanishes mod P
+        (times([1, 1], [F(1, P), 1]), times([1, 1], [2, 1]), False),  # denominator P
+        ((F(1), F(P)), (F(2), F(1)), False),  # coprime, but lead vanishes mod P
+        ((F(0), F(0), F(1), F(2)), (F(0), F(0), F(3)), False),  # shared o^2
+        ((F(2), F(3), F(1)), (F(2), F(-1), F(-1)), False),  # shared 2 + o
+        ((), (F(1), F(1)), False),  # zero operand
+        ((F(2**62 + 3), F(2**61 + 5)), (F(7), F(2**64 + 1), F(1)), True),
+        ((F(1, 3), F(2), F(1)), (F(1), F(0), F(-5, 7)), True),
+        ((F(3),), (F(1), F(1)), True),
+    ])
+    def test_certificate_answers(self, a, b, certified):
+        assert _coprime_mod_p(a, b) is certified
+        assert poly_key(_poly_gcd(a, b)) == poly_key(poly_gcd_oracle(a, b))
 
 
 def completion_targets():
